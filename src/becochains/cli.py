@@ -390,8 +390,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload = json.loads(emitted)
             payload["alpha_matrix"] = _alpha_matrix_payload()
             emitted = json.dumps(payload, indent=2) + "\n"
-        with open(args.emit, "w") as fh:
-            fh.write(emitted)
+        try:
+            with open(args.emit, "w") as fh:
+                fh.write(emitted)
+        except OSError as exc:
+            print(f"error: cannot write {args.emit}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
 
     if not report.all_passed:
         if args.command == "obstruct":

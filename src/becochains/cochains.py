@@ -225,7 +225,8 @@ def coboundary_matrix(cx: Complex, deg: int) -> BitMatrix:
             if f >= 0:
                 r ^= 1 << f
         data.append(r)
-    assert len(data) == n_rows
+    if len(data) != n_rows:
+        raise RuntimeError(f"face table has {len(data)} rows for {n_rows} simplices")
     return BitMatrix(n_rows, n_cols, data)
 
 

@@ -8,7 +8,7 @@ the canonical order (lexicographic on concatenated one-line words).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .perms import Perm, all_perms, ordered_pairs, pair_flags, project_pair
 
@@ -18,7 +18,6 @@ __all__ = [
     "in_filtration",
     "is_nondegenerate",
     "faces",
-    "apply_map",
     "ComplexIndex",
     "Complex",
     "get_complex",
@@ -74,12 +73,6 @@ def faces(s: Simplex) -> List[Tuple[int, Optional[Simplex]]]:
         else:
             out.append((m, s[:m] + s[m + 1:]))
     return out
-
-
-def apply_map(s: Simplex, f: Callable[[Perm], Perm]) -> Optional[Simplex]:
-    """Levelwise image of s under f; None when the image is degenerate."""
-    img = tuple(f(level) for level in s)
-    return img if is_nondegenerate(img) else None
 
 
 def _lane_masks(npairs: int) -> Tuple[int, int]:

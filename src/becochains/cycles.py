@@ -133,8 +133,8 @@ def h2_cycle_table() -> Tuple[Tuple[Word, Chain], ...]:
     table = []
     for word, g, kind in _RELABELLINGS:
         table.append((word, act_chain(g, base[kind])))
-    order = {m: r for r, m in enumerate(arnold_basis(4, 2))}
-    assert [order[w] for w, _ in table] == list(range(11))
+    if [w for w, _ in table] != list(arnold_basis(4, 2)):
+        raise RuntimeError("cycle table is not in quadratic basis order")
     return tuple(table)
 
 
@@ -172,8 +172,8 @@ def pairing_matrix() -> BitMatrix:
     rows = []
     for monomial in arnold_basis(4, 2):
         c = omega_product(monomial)
-        rows.append([pair(c, z) for z in cycles])
-    return BitMatrix.from_rows(rows, cols=len(cycles))
+        rows.append(sum(pair(c, z) << s for s, z in enumerate(cycles)))
+    return BitMatrix(len(rows), len(cycles), rows)
 
 
 def class_of_cocycle(c: F2Cochain) -> FrozenSet[Word]:
@@ -187,12 +187,12 @@ def class_of_cocycle(c: F2Cochain) -> FrozenSet[Word]:
     if coboundary(c):
         raise ValueError("not a cocycle")
     cx = c.cx
-    p = [pair(c, to_chain(cx, ch)) for ch in h2_cycles()]
+    p = sum(pair(c, to_chain(cx, ch)) << s for s, ch in enumerate(h2_cycles()))
     x = solve(pairing_matrix().transpose(), p)
     if x is None:
         raise ValueError("pairings are inconsistent with the cycle basis")
     basis = arnold_basis(4, 2)
-    return frozenset(basis[r] for r, bit in enumerate(x) if bit)
+    return frozenset(basis[r] for r in range(len(basis)) if x >> r & 1)
 
 
 def is_two_block_cycle(ch: Chain) -> bool:

@@ -1,8 +1,14 @@
-"""Dense bit-packed linear algebra over the two-element field."""
+"""Bit-packed linear algebra over the two-element field.
+
+Every vector is a Python int with bit j as coordinate j. All eliminations go
+through one incremental pivot basis: each row is reduced against the rows
+kept so far, keyed by their lowest set bit, and kept when a remainder
+survives (the sparse reduction of persistent-homology codes).
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional
 
 __all__ = ["BitMatrix", "rank", "solve", "rowspace_basis", "kernel_basis"]
 
@@ -22,27 +28,6 @@ class BitMatrix:
                 raise ValueError("row count mismatch")
             mask = (1 << cols) - 1
             self.data = [r & mask for r in data]
-
-    @classmethod
-    def from_rows(cls, rows_of_bits: List[List[int]], cols: Optional[int] = None) -> "BitMatrix":
-        """Build from a list of 0/1 lists."""
-        n = len(rows_of_bits)
-        c = cols if cols is not None else (len(rows_of_bits[0]) if n else 0)
-        data = []
-        for bits in rows_of_bits:
-            r = 0
-            for j, b in enumerate(bits):
-                if b & 1:
-                    r |= 1 << j
-            data.append(r)
-        return cls(n, c, data)
-
-    def row_bits(self, i: int) -> List[int]:
-        r = self.data[i]
-        return [(r >> j) & 1 for j in range(self.cols)]
-
-    def column(self, j: int) -> List[int]:
-        return [(r >> j) & 1 for r in self.data]
 
     def transpose(self) -> "BitMatrix":
         out = [0] * self.cols
@@ -73,88 +58,83 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def _eliminate(data: List[int], cols: int):
-    """Row echelon form with deterministic lowest-column pivots.
+def _pivot_basis(rows: Iterable[int]) -> Dict[int, int]:
+    """Echelon basis of the span of rows: pivot column -> row with that lowest bit.
 
-    Returns (reduced rows, list of pivot columns, row index per pivot).
+    A kept row has no bit below its pivot but may share higher bits with other
+    kept rows; the rows are kept in the order given, so the result is
+    deterministic.
     """
-    rows = list(data)
-    pivots: List[int] = []
-    pivot_rows: List[int] = []
-    r = 0
-    n = len(rows)
-    for c in range(cols):
-        bit = 1 << c
-        sel = -1
-        for i in range(r, n):
-            if rows[i] & bit:
-                sel = i
+    basis: Dict[int, int] = {}
+    for v in rows:
+        while v:
+            pivot = (v & -v).bit_length() - 1
+            row = basis.get(pivot)
+            if row is None:
+                basis[pivot] = v
                 break
-        if sel < 0:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        prow = rows[r]
-        for i in range(n):
-            if i != r and rows[i] & bit:
-                rows[i] ^= prow
-        pivots.append(c)
-        pivot_rows.append(r)
-        r += 1
-        if r == n:
-            break
-    return rows, pivots, pivot_rows
+            v ^= row
+    return basis
 
 
 def rank(m: BitMatrix) -> int:
     """Row rank over GF(2); does not mutate the input."""
-    _, pivots, _ = _eliminate(m.data, m.cols)
-    return len(pivots)
+    return len(_pivot_basis(m.data))
 
 
-def solve(m: BitMatrix, b: List[int]) -> Optional[List[int]]:
+def solve(m: BitMatrix, b: int) -> Optional[int]:
     """Some x with m.x = b, or None when the system is inconsistent.
 
-    b has one bit per row of m; x has one bit per column.
+    b has one bit per row of m; x has one bit per column, with every free
+    variable zero.
     """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length must equal the row count")
-    aug_col = m.cols
-    aug = [m.data[i] | ((b[i] & 1) << aug_col) for i in range(m.rows)]
-    rows, pivots, _ = _eliminate(aug, m.cols)
-    # Inconsistent iff a nonzero remainder survives in the augmented column.
-    used = len(pivots)
-    for i in range(used, len(rows)):
-        if rows[i] >> aug_col:
-            return None
+    if b < 0 or b >> m.rows:
+        raise ValueError("right-hand side has bits beyond the row count")
+    aug = m.cols
+    basis = _pivot_basis(r | ((b >> i & 1) << aug) for i, r in enumerate(m.data))
+    # Inconsistent iff some row reduces to the bare augmented bit.
+    if aug in basis:
+        return None
     x = 0
-    for r_i, c in enumerate(pivots):
-        if rows[r_i] >> aug_col:
-            x |= 1 << c
-    return [(x >> j) & 1 for j in range(m.cols)]
+    for pivot in sorted(basis, reverse=True):
+        row = basis[pivot]
+        if ((row ^ (1 << pivot)) & x).bit_count() & 1 != row >> aug:
+            x |= 1 << pivot
+    return x
 
 
 def rowspace_basis(m: BitMatrix) -> List[int]:
-    """Nonzero reduced-echelon rows of m, as bit rows over its columns.
+    """Echelon basis of the row space of m, sorted by ascending pivot.
 
-    Each row's lowest set bit is its pivot column, and no other returned row
-    has that bit, so membership in the row space reduces by single passes.
+    Each row's lowest set bit is its pivot column and the pivots increase
+    strictly, so one pass in order decides membership in the row space.
     """
-    rows, pivots, _ = _eliminate(m.data, m.cols)
-    return [rows[i] for i in range(len(pivots))]
+    basis = _pivot_basis(m.data)
+    return [basis[p] for p in sorted(basis)]
 
 
-def kernel_basis(m: BitMatrix) -> List[List[int]]:
-    """Independent vectors spanning the nullspace; count = cols - rank."""
-    rows, pivots, _ = _eliminate(m.data, m.cols)
-    pivot_set = set(pivots)
-    basis: List[List[int]] = []
+def kernel_basis(m: BitMatrix) -> List[int]:
+    """Independent vectors spanning the nullspace, one per free column in order.
+
+    The pivot rows are fully reduced first, so that each pivot column is set
+    in its own row only; count = cols - rank.
+    """
+    basis = _pivot_basis(m.data)
+    pivots = sorted(basis, reverse=True)
+    pivot_mask = sum(1 << p for p in pivots)
+    for p in pivots:
+        hits = (basis[p] & pivot_mask) ^ (1 << p)
+        while hits:
+            low = hits & -hits
+            basis[p] ^= basis[low.bit_length() - 1]
+            hits ^= low
+    out = []
     for free in range(m.cols):
-        if free in pivot_set:
+        if free in basis:
             continue
         v = 1 << free
-        fbit = 1 << free
-        for r_i, c in enumerate(pivots):
-            if rows[r_i] & fbit:
-                v |= 1 << c
-        basis.append([(v >> j) & 1 for j in range(m.cols)])
-    return basis
+        for p in pivots:
+            if basis[p] >> free & 1:
+                v |= 1 << p
+        out.append(v)
+    return out

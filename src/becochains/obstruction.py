@@ -48,8 +48,6 @@ __all__ = [
     "alpha_hom",
     "anchor_values",
     "hochschild_matrix",
-    "flatten_hom",
-    "unflatten_hom",
     "is_coboundary",
     "dual_d",
     "beta",
@@ -150,24 +148,10 @@ def anchor_values(a: Optional[HomWH] = None) -> List[Tuple[Word, FrozenSet[Word]
     return [(w, exp, a.apply(w)) for w, exp in zip(ANCHOR_WORDS, ANCHOR_VALUES)]
 
 
-def flatten_hom(h: HomWH) -> List[int]:
+def _packed(h: HomWH) -> int:
     """Row-major bit vector of a Hom element (basis order on both sides)."""
     width = len(arnold_basis(h.k, h.qdeg))
-    return [(r >> c) & 1 for r in h.rows for c in range(width)]
-
-
-def unflatten_hom(k: int, level: int, qdeg: int, bits: List[int]) -> HomWH:
-    width = len(arnold_basis(k, qdeg))
-    nrows = len(w_basis(k, level))
-    if len(bits) != nrows * width:
-        raise ValueError("bit vector length mismatch")
-    rows = []
-    for r in range(nrows):
-        v = 0
-        for c in range(width):
-            v |= (bits[r * width + c] & 1) << c
-        rows.append(v)
-    return HomWH(k, level, qdeg, rows)
+    return sum(row << (r * width) for r, row in enumerate(h.rows))
 
 
 @lru_cache(maxsize=None)
@@ -175,36 +159,28 @@ def hochschild_matrix(k: int = 4) -> BitMatrix:
     """Matrix of the convolution differential Hom(W1,H1) -> Hom(W2,H2).
 
     Columns run over elementary maps (one level-1 word to one degree-1
-    class); rows over the flattened target basis. For k = 4 this is 990x150.
+    class); rows over the packed target basis. For k = 4 this is 990x150.
     """
-    w1 = w_basis(k, 1)
-    h1 = arnold_basis(k, 1)
-    cols: List[List[int]] = []
-    for wi in range(len(w1)):
-        for mi in range(len(h1)):
-            f = HomWH(k, 1, 1, [(1 << mi) if r == wi else 0 for r in range(len(w1))])
-            cols.append(flatten_hom(hochschild_d(f)))
-    nrows = len(cols[0])
-    rows = [[col[r] for col in cols] for r in range(nrows)]
-    return BitMatrix.from_rows(rows, cols=len(cols))
+    nw1, nh1 = len(w_basis(k, 1)), len(arnold_basis(k, 1))
+    cols = []
+    for wi in range(nw1):
+        for mi in range(nh1):
+            f = HomWH(k, 1, 1, [(1 << mi) if r == wi else 0 for r in range(nw1)])
+            cols.append(_packed(hochschild_d(f)))
+    nrows = len(w_basis(k, 2)) * len(arnold_basis(k, 2))
+    return BitMatrix(len(cols), nrows, cols).transpose()
 
 
 def is_coboundary(a: HomWH) -> Optional[HomWH]:
     """Witness f with hochschild_d(f) = a, or None when no witness exists."""
     if not hochschild_d(a).is_zero():
         raise ValueError("input is not a cocycle of the convolution complex")
-    x = solve(hochschild_matrix(a.k), flatten_hom(a))
+    x = solve(hochschild_matrix(a.k), _packed(a))
     if x is None:
         return None
-    h1 = arnold_basis(a.k, 1)
-    w1 = w_basis(a.k, 1)
-    rows = []
-    for wi in range(len(w1)):
-        v = 0
-        for mi in range(len(h1)):
-            v |= (x[wi * len(h1) + mi] & 1) << mi
-        rows.append(v)
-    return HomWH(a.k, 1, 1, rows)
+    width = len(arnold_basis(a.k, 1))
+    mask = (1 << width) - 1
+    return HomWH(a.k, 1, 1, [x >> (wi * width) & mask for wi in range(len(w_basis(a.k, 1)))])
 
 
 def _cap(a: Pair, h: Word, k: int) -> List[Word]:
@@ -301,8 +277,8 @@ def h2_dim_oracle(k: int = 4) -> int:
 
 
 @lru_cache(maxsize=None)
-def _im_d1_rref(k: int = 4) -> Tuple[int, ...]:
-    """Reduced row basis of the space of degree-2 coboundaries (as bit rows)."""
+def _im_d1_basis(k: int = 4) -> Tuple[int, ...]:
+    """Echelon row basis of the space of degree-2 coboundaries (as bit rows)."""
     cx = get_complex(k, 2)
     m1 = coboundary_matrix(cx, 1)
     return tuple(rowspace_basis(m1.transpose()))
@@ -322,7 +298,7 @@ def validates_class(c: F2Cochain, monomials: FrozenSet[Word]) -> bool:
     v = 0
     for s in acc.support:
         v |= 1 << s
-    for row in _im_d1_rref(c.cx.k):
+    for row in _im_d1_basis(c.cx.k):
         if v & (row & -row):
             v ^= row
     return v == 0

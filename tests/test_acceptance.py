@@ -150,7 +150,7 @@ def test_criterion_4_calibration_gate():
     m = pairing_matrix()
     assert rank(m) == 11  # invertible
     # on this basis ordering the matrix is exactly the identity
-    assert all(m.row_bits(i) == [int(i == j) for j in range(11)] for i in range(11))
+    assert m.data == [1 << i for i in range(11)]
 
 
 def test_criterion_5_level_one_compatibility():

@@ -108,6 +108,16 @@ def test_obstruct_emit_text(capsys, tmp_path):
     assert emit.read_text() == out
 
 
+def test_emit_to_missing_directory_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "dims", "--k", "3", "--t", "2", "--emit", str(target))
+    assert code == 2
+    assert "verdict: PASS" in out
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_obstruct_gauge_seed_checks(capsys):
     code, out, _ = run(capsys, "obstruct", "--gauge-seed", "5")
     assert code == 0

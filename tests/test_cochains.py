@@ -198,9 +198,29 @@ def test_mismatched_ambient_raises():
         omega(3, 1, 2) + omega(4, 1, 2)
 
 
-def test_h2_dimension_by_rank():
-    cx = get_complex(4, 2)
-    n2 = len(cx.index(2))
-    d2 = rank(coboundary_matrix(cx, 2))
-    d1 = rank(coboundary_matrix(cx, 1))
-    assert n2 - d2 - d1 == 11
+def poincare_polynomial(k, t):
+    """Coefficients of prod_{j<k} (1 + j x^(t-1)), padded to the top degree."""
+    coeffs = [1]
+    for j in range(1, k):
+        shifted = [0] * (t - 1) + [j * c for c in coeffs]
+        coeffs = [a + b for a, b in zip(coeffs + [0] * (t - 1), shifted)]
+    top = (t - 1) * k * (k - 1) // 2
+    return coeffs + [0] * (top + 1 - len(coeffs))
+
+
+def test_betti_numbers_by_rank():
+    """Every mod-2 Betti number from coboundary ranks matches the configuration space."""
+    found = {}
+    for k, t in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
+        cx = get_complex(k, t)
+        expected = poincare_polynomial(k, t)
+        ranks = [rank(coboundary_matrix(cx, d)) for d in range(len(expected))]
+        found[k, t] = [
+            len(cx.index(d)) - ranks[d] - (ranks[d - 1] if d else 0)
+            for d in range(len(expected))
+        ]
+        assert found[k, t] == expected, (k, t)
+    # the quadratic cohomology of four points in the plane
+    assert found[4, 2][2] == 11
+    assert found[4, 2] == [1, 6, 11, 6, 0, 0, 0]
+    assert found[3, 3] == [1, 0, 3, 0, 2, 0, 0]

@@ -1,5 +1,8 @@
 """Chain-level composition products and the quadratic cycle representatives."""
 
+import pytest
+
+from becochains import cycles
 from becochains.algebras import arnold_basis, parse_word
 from becochains.cochains import boundary, coboundary, cup, omega, pair
 from becochains.complexes import get_complex, in_filtration, simplex_from_text
@@ -93,11 +96,21 @@ def test_cycle_shapes():
     assert not is_satellite_cycle(table[parse_word("A12.A34")[1]])
 
 
+def test_cycle_table_order_is_checked(monkeypatch):
+    h2_cycle_table.cache_clear()
+    monkeypatch.setattr(cycles, "_RELABELLINGS", cycles._RELABELLINGS[::-1])
+    try:
+        with pytest.raises(RuntimeError, match="basis order"):
+            h2_cycle_table()
+    finally:
+        h2_cycle_table.cache_clear()
+
+
 def test_pairing_matrix_is_identity():
     m = pairing_matrix()
     assert (m.rows, m.cols) == (11, 11)
     for i in range(11):
-        assert m.row_bits(i) == [1 if j == i else 0 for j in range(11)]
+        assert m.data[i] == 1 << i
 
 
 def test_pairing_entries_pointwise():

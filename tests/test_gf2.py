@@ -3,6 +3,8 @@
 import random
 from itertools import product
 
+import pytest
+
 from becochains.gf2 import BitMatrix, kernel_basis, rank, rowspace_basis, solve
 
 
@@ -14,9 +16,39 @@ def brute_rank(rows, cols):
     return len(span).bit_length() - 1
 
 
+def high_pivot_rank(vectors):
+    """Rank by elimination on the highest set bit, the opposite pivot rule to gf2's."""
+    pivots = {}
+    for v in vectors:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
 def all_matrices(rows, cols):
     for data in product(range(1 << cols), repeat=rows):
         yield BitMatrix(rows, cols, list(data))
+
+
+def random_matrix(rng, rows, cols, density):
+    data = [sum((rng.random() < density) << j for j in range(cols)) for _ in range(rows)]
+    return BitMatrix(rows, cols, data)
+
+
+# Seeded shapes: sparse square-ish, tall (rows >> cols) and wide (cols >> rows).
+# The smaller side stays at most 12 so that brute_rank enumerates at most 4096.
+SHAPES = {
+    "sparse": lambda rng: random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12), 0.15),
+    "tall": lambda rng: random_matrix(rng, rng.randint(20, 40), rng.randint(1, 10), 0.3),
+    "wide": lambda rng: random_matrix(rng, rng.randint(1, 10), rng.randint(20, 40), 0.3),
+}
+
+
+def seeded_matrices(shape, seed, count=40):
+    rng = random.Random(seed)
+    return [SHAPES[shape](rng) for _ in range(count)]
 
 
 def test_rank_matches_brute_force_exhaustive():
@@ -36,17 +68,14 @@ def test_rank_random_larger():
 
 def test_solve_exhaustive_small():
     for m in all_matrices(2, 3):
-        for bbits in range(4):
-            b = [(bbits >> i) & 1 for i in range(2)]
+        for b in range(4):
             x = solve(m, b)
             if x is None:
                 # no x in the full cube satisfies the system
                 for cand in range(8):
-                    got = [(m.mul_vec(cand) >> i) & 1 for i in range(2)]
-                    assert got != b
+                    assert m.mul_vec(cand) != b
             else:
-                xb = sum(bit << j for j, bit in enumerate(x))
-                assert [(m.mul_vec(xb) >> i) & 1 for i in range(2)] == b
+                assert m.mul_vec(x) == b
 
 
 def test_solve_random_consistency():
@@ -55,11 +84,18 @@ def test_solve_random_consistency():
         rows, cols = rng.randint(1, 10), rng.randint(1, 10)
         m = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
         xtrue = rng.getrandbits(cols)
-        b = [(m.mul_vec(xtrue) >> i) & 1 for i in range(rows)]
+        b = m.mul_vec(xtrue)
         x = solve(m, b)
         assert x is not None
-        xb = sum(bit << j for j, bit in enumerate(x))
-        assert m.mul_vec(xb) == m.mul_vec(xtrue)
+        assert m.mul_vec(x) == b
+
+
+def test_solve_rejects_oversized_right_hand_side():
+    m = BitMatrix(2, 2, [1, 2])
+    with pytest.raises(ValueError):
+        solve(m, 0b100)
+    with pytest.raises(ValueError):
+        solve(m, -1)
 
 
 def test_kernel_basis_exhaustive_small():
@@ -67,12 +103,10 @@ def test_kernel_basis_exhaustive_small():
         basis = kernel_basis(m)
         # every basis vector maps to zero
         for v in basis:
-            vb = sum(bit << j for j, bit in enumerate(v))
-            assert m.mul_vec(vb) == 0
+            assert m.mul_vec(v) == 0
         # count matches rank-nullity and the vectors are independent
         assert len(basis) == 3 - rank(m)
-        packed = [sum(bit << j for j, bit in enumerate(v)) for v in basis]
-        assert brute_rank(packed, 3) == len(basis)
+        assert brute_rank(basis, 3) == len(basis)
 
 
 def test_rowspace_basis_spans_rows():
@@ -93,12 +127,74 @@ def test_rowspace_basis_spans_rows():
         assert lows == sorted(set(lows))
 
 
-def test_transpose_and_from_rows_roundtrip():
-    m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_rank_random_shapes(shape):
+    for m in seeded_matrices(shape, 101):
+        assert rank(m) == brute_rank(m.data, m.cols)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_solve_random_shapes(shape):
+    rng = random.Random(102)
+    for m in seeded_matrices(shape, 103):
+        b = m.mul_vec(rng.getrandbits(m.cols))
+        x = solve(m, b)
+        assert x is not None and m.mul_vec(x) == b
+        # Append the sum of two rows with the sum of their right-hand sides
+        # flipped: no x satisfies both the originals and the new row.
+        i, j = rng.randrange(m.rows), rng.randrange(m.rows)
+        bad = BitMatrix(m.rows + 1, m.cols, m.data + [m.data[i] ^ m.data[j]])
+        bad_b = b | ((1 ^ (b >> i & 1) ^ (b >> j & 1)) << m.rows)
+        assert solve(bad, bad_b) is None
+        if m.cols <= 8:
+            assert all(bad.mul_vec(cand) != bad_b for cand in range(1 << m.cols))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_kernel_basis_random_shapes(shape):
+    for m in seeded_matrices(shape, 104):
+        basis = kernel_basis(m)
+        assert all(m.mul_vec(v) == 0 for v in basis)
+        assert all(0 < v < (1 << m.cols) for v in basis)
+        assert len(basis) == m.cols - brute_rank(m.data, m.cols)
+        assert high_pivot_rank(basis) == len(basis)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_rowspace_basis_random_shapes(shape):
+    for m in seeded_matrices(shape, 105):
+        basis = rowspace_basis(m)
+        assert len(basis) == brute_rank(m.data, m.cols)
+        # echelon order: strictly increasing pivots (lowest set bits)
+        lows = [r & -r for r in basis]
+        assert 0 not in lows and lows == sorted(set(lows))
+        # every row reduces to zero in one pass over the basis in order
+        for r in m.data:
+            for row in basis:
+                if r & (row & -row):
+                    r ^= row
+            assert r == 0
+        # and the basis lies in the row space
+        assert high_pivot_rank(m.data + basis) == len(basis)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_results_are_deterministic(shape):
+    for m in seeded_matrices(shape, 106, count=10):
+        data = list(m.data)
+        b = m.mul_vec((1 << m.cols) - 1)
+        first = (rank(m), solve(m, b), rowspace_basis(m), kernel_basis(m))
+        again = BitMatrix(m.rows, m.cols, list(data))
+        assert (rank(again), solve(again, b), rowspace_basis(again), kernel_basis(again)) == first
+        assert m.data == data  # inputs are not mutated
+
+
+def test_transpose_roundtrip_and_entries():
+    m = BitMatrix(2, 3, [0b101, 0b110])
     assert m.rows == 2 and m.cols == 3
     assert m.transpose().transpose() == m
-    assert m.row_bits(0) == [1, 0, 1]
-    assert m.column(2) == [1, 1]
+    assert m.data[0] == 0b101
+    assert m.transpose().data[2] == 0b11
 
 
 def test_mul_vec_is_linear():
