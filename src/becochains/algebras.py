@@ -11,6 +11,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
+from .gf2 import _bits
+
 __all__ = [
     "Pair",
     "Word",
@@ -265,15 +267,9 @@ class HomWH:
         return cls(k, level, qdeg, rows)
 
     def apply(self, w: Word) -> Element:
-        idx = _w_index(self.k, self.level)[w]
         basis = arnold_basis(self.k, self.qdeg)
-        r = self.rows[idx]
-        out = []
-        while r:
-            low = r & -r
-            out.append(basis[low.bit_length() - 1])
-            r ^= low
-        return frozenset(out)
+        row = self.rows[_w_index(self.k, self.level)[w]]
+        return frozenset(basis[i] for i in _bits(row))
 
     def __add__(self, other: "HomWH") -> "HomWH":
         if (self.k, self.level, self.qdeg) != (other.k, other.level, other.qdeg):
@@ -308,24 +304,35 @@ def tau(k: int = 4) -> HomWH:
     return HomWH.from_map(k, 0, 1, lambda w: [w])
 
 
+@lru_cache(maxsize=None)
+def _product_table(k: int, p: int, q: int) -> Tuple[Tuple[int, ...], ...]:
+    """table[i][j]: bitmask over the degree p+q basis of basis_p[i] . basis_q[j]."""
+    col = {m: c for c, m in enumerate(arnold_basis(k, p + q))}
+    return tuple(
+        tuple(sum(1 << col[m] for m in arnold_normalize(a + b)) for b in arnold_basis(k, q))
+        for a in arnold_basis(k, p)
+    )
+
+
 def convolution(f: HomWH, g: HomWH) -> HomWH:
     """Convolution product through the coproduct of W and the Arnold multiplication."""
     if f.k != g.k:
         raise ValueError("arity mismatch")
     k = f.k
     level = f.level + g.level + 1
-    qdeg = f.qdeg + g.qdeg
-
-    def fn(w: Word) -> Element:
-        acc: set = set()
+    table = _product_table(k, f.qdeg, g.qdeg)
+    f_bits = dict(zip(w_basis(k, f.level), map(_bits, f.rows)))
+    g_bits = dict(zip(w_basis(k, g.level), map(_bits, g.rows)))
+    rows = []
+    for w in w_basis(k, level):
+        r = 0
         for u, v in coproduct_component(k, w, f.level + 1, g.level + 1):
-            fu = f.apply(u)
-            gv = g.apply(v)
-            if fu and gv:
-                acc ^= arnold_mult(fu, gv)
-        return frozenset(acc)
-
-    return HomWH.from_map(k, level, qdeg, fn)
+            for i in f_bits[u]:
+                products = table[i]
+                for j in g_bits[v]:
+                    r ^= products[j]
+        rows.append(r)
+    return HomWH(k, level, f.qdeg + g.qdeg, rows)
 
 
 def hochschild_d(f: HomWH) -> HomWH:

@@ -1,18 +1,19 @@
 """Normalized chains and cochains of the filtered complexes over GF(2).
 
-A cochain is stored as its support, a set of indices into the canonical
-degree table of its ambient complex. Chains share the representation; the
+A cochain is stored as its support, an int bitset over the canonical degree
+table of its ambient complex (bit i = simplex i). Chains share it; the
 distinction is semantic (pairing treats one argument as each).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import Complex, Simplex, get_complex, simplex_from_text, simplex_text
-from .gf2 import BitMatrix
-from .perms import Perm, project_pair, project_triple
+from .gf2 import BitMatrix, _bits
+from .perms import project_pair, project_triple
 
 __all__ = [
     "F2Cochain",
@@ -34,14 +35,16 @@ __all__ = [
 
 
 class F2Cochain:
-    """Degree-homogeneous GF(2) support set of simplices of one ambient complex."""
+    """Degree-homogeneous GF(2) cochain of one ambient complex; bit i = simplex i."""
 
     __slots__ = ("cx", "degree", "support")
 
-    def __init__(self, cx: Complex, degree: int, support: Iterable[int] = ()):
+    def __init__(self, cx: Complex, degree: int, support: int = 0):
+        if not isinstance(support, int):
+            raise TypeError("support must be an int bitset")
         self.cx = cx
         self.degree = degree
-        self.support = frozenset(support)
+        self.support = support
 
     def __add__(self, other: "F2Cochain") -> "F2Cochain":
         _check_same(self, other)
@@ -62,11 +65,11 @@ class F2Cochain:
         return bool(self.support)
 
     def __len__(self) -> int:
-        return len(self.support)
+        return self.support.bit_count()
 
     def simplices(self) -> List[Simplex]:
         tbl = self.cx.index(self.degree)
-        return [tbl.simplex(i) for i in sorted(self.support)]
+        return [tbl.simplex(i) for i in _bits(self.support)]
 
     def __repr__(self) -> str:
         return f"F2Cochain(k={self.cx.k}, t={self.cx.t}, degree={self.degree}, {cochain_text(self)})"
@@ -96,7 +99,25 @@ def from_simplices(cx: Complex, simplices: Iterable[Simplex]) -> F2Cochain:
         raise ValueError("simplices must share one degree")
     deg = degs.pop()
     tbl = cx.index(deg)
-    return F2Cochain(cx, deg, (tbl.index_of(s) for s in sims))
+    return F2Cochain(cx, deg, reduce(or_, (1 << tbl.index_of(s) for s in sims)))
+
+
+# Maps a 0/1 byte to the ASCII digit, to read a bytearray of parities as a numeral.
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
+@lru_cache(maxsize=None)
+def _cofaces(cx: Complex, deg: int) -> Tuple[Tuple[int, ...], ...]:
+    """Sparse coboundary columns: per degree-deg simplex, its cofaces with multiplicity.
+
+    coboundary sums them mod 2, so a face occurring twice in one simplex cancels.
+    """
+    cols: List[List[int]] = [[] for _ in range(len(cx.index(deg)))]
+    for s, row in enumerate(cx.face_indices(deg + 1)):
+        for f in row:
+            if f >= 0:
+                cols[f].append(s)
+    return tuple(map(tuple, cols))
 
 
 def coboundary(c: F2Cochain) -> F2Cochain:
@@ -105,13 +126,13 @@ def coboundary(c: F2Cochain) -> F2Cochain:
     if c.degree >= cx.top_degree:
         # The next cochain group vanishes, so the coboundary is zero there.
         return F2Cochain(cx, c.degree + 1)
-    rows = cx.face_indices(c.degree + 1)
-    supp = c.support
-    out = [
-        s for s, row in enumerate(rows)
-        if sum(1 for f in row if f in supp) & 1
-    ]
-    return F2Cochain(cx, c.degree + 1, out)
+    cols = _cofaces(cx, c.degree)
+    parity = bytearray(len(cx.index(c.degree + 1)))
+    for f in _bits(c.support):
+        for s in cols[f]:
+            parity[s] ^= 1
+    # Highest simplex first: the parities read as a binary numeral are the support.
+    return F2Cochain(cx, c.degree + 1, int(parity[::-1].translate(_BIT_CHARS), 2))
 
 
 def boundary(z: F2Chain) -> F2Chain:
@@ -119,12 +140,24 @@ def boundary(z: F2Chain) -> F2Chain:
     if z.degree < 1:
         raise ValueError("boundary needs degree at least 1")
     rows = z.cx.face_indices(z.degree)
-    acc: set = set()
-    for s in z.support:
+    out = 0
+    for s in _bits(z.support):
         for f in rows[s]:
             if f >= 0:
-                acc ^= {f}
-    return F2Chain(z.cx, z.degree - 1, acc)
+                out ^= 1 << f
+    return F2Chain(z.cx, z.degree - 1, out)
+
+
+@lru_cache(maxsize=None)
+def _cup_masks(cx: Complex, p: int, q: int) -> Tuple[List[int], List[int]]:
+    """Per p-simplex the degree p+q simplices with it in front, per q-simplex at the back."""
+    fronts, backs = cx.front_back(p, q)
+    front_masks = [0] * len(cx.index(p))
+    back_masks = [0] * len(cx.index(q))
+    for s, (f, b) in enumerate(zip(fronts, backs)):
+        front_masks[f] |= 1 << s
+        back_masks[b] |= 1 << s
+    return front_masks, back_masks
 
 
 def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:
@@ -136,10 +169,10 @@ def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:
     if p + q > cx.top_degree:
         # Nothing lives above the top degree; the product collapses.
         return F2Cochain(cx, p + q)
-    fronts, backs = cx.front_back(p, q)
-    sa, sb = a.support, b.support
-    out = [s for s in range(len(fronts)) if fronts[s] in sa and backs[s] in sb]
-    return F2Cochain(cx, p + q, out)
+    front_masks, back_masks = _cup_masks(cx, p, q)
+    front = reduce(or_, map(front_masks.__getitem__, _bits(a.support)), 0)
+    back = reduce(or_, map(back_masks.__getitem__, _bits(b.support)), 0)
+    return F2Cochain(cx, p + q, front & back)
 
 
 def cup1(a: F2Cochain, b: F2Cochain) -> F2Cochain:
@@ -176,14 +209,14 @@ def pullback(target: Complex, tag: Sequence[int], c: F2Cochain) -> F2Cochain:
     tbl = target.index(deg)
     src_tbl = c.cx.index(deg)
     supp = c.support
-    out = []
+    out = 0
     for s_idx, code in enumerate(tbl.codes):
         sim = tbl.unpack(code)
         img = tuple(fn(p) for p in sim)
         if any(img[m] == img[m + 1] for m in range(deg)):
             continue
-        if src_tbl.pos[src_tbl.pack(img)] in supp:
-            out.append(s_idx)
+        if supp >> src_tbl.pos[src_tbl.pack(img)] & 1:
+            out |= 1 << s_idx
     return F2Cochain(target, deg, out)
 
 
@@ -206,7 +239,7 @@ def ar() -> F2Cochain:
 def pair(c: F2Cochain, z: F2Chain) -> int:
     """Evaluation of a cochain on a chain: |Supp(c) & Supp(z)| mod 2."""
     _check_same(c, z)
-    return len(c.support & z.support) & 1
+    return (c.support & z.support).bit_count() & 1
 
 
 def coboundary_matrix(cx: Complex, deg: int) -> BitMatrix:

@@ -149,6 +149,13 @@ def to_chain(cx: Complex, ch: Chain) -> F2Chain:
     return from_simplices(cx, ch)
 
 
+@lru_cache(maxsize=None)
+def _cycle_chains() -> Tuple[F2Chain, ...]:
+    """The 11 cycles as chains of the arity-4 complex, in quadratic basis order."""
+    cx = get_complex(4, 2)
+    return tuple(to_chain(cx, ch) for ch in h2_cycles())
+
+
 def omega_product(monomial: Word, k: int = 4) -> F2Cochain:
     """Cup product of the pullback cocycles along one admissible monomial."""
     if not monomial:
@@ -167,8 +174,7 @@ def pairing_matrix() -> BitMatrix:
     dual to basis monomial s; the matrix must be invertible for the cycles
     to detect the full quadratic cohomology.
     """
-    cx = get_complex(4, 2)
-    cycles = [to_chain(cx, ch) for ch in h2_cycles()]
+    cycles = _cycle_chains()
     rows = []
     for monomial in arnold_basis(4, 2):
         c = omega_product(monomial)
@@ -186,8 +192,7 @@ def class_of_cocycle(c: F2Cochain) -> FrozenSet[Word]:
         raise ValueError("expected a degree-2 cochain of the arity-4 complex")
     if coboundary(c):
         raise ValueError("not a cocycle")
-    cx = c.cx
-    p = sum(pair(c, to_chain(cx, ch)) << s for s, ch in enumerate(h2_cycles()))
+    p = sum(pair(c, z) << s for s, z in enumerate(_cycle_chains()))
     x = solve(pairing_matrix().transpose(), p)
     if x is None:
         raise ValueError("pairings are inconsistent with the cycle basis")

@@ -58,6 +58,17 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+def _bits(v: int) -> List[int]:
+    """Indices of the set bits of v >= 0, ascending; linear time on wide ints."""
+    digits = bin(v)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def _pivot_basis(rows: Iterable[int]) -> Dict[int, int]:
     """Echelon basis of the span of rows: pivot column -> row with that lowest bit.
 

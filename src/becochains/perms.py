@@ -17,17 +17,10 @@ __all__ = [
     "block_substitute",
     "perm_from_text",
     "perm_text",
-    "ACT_RELABEL",
 ]
 
 # A permutation is the tuple (p(1), ..., p(k)) of its one-line word.
 Perm = Tuple[int, ...]
-
-# Relabelling convention for act(g, p): "direct" replaces each letter x of p
-# by g(x); "inverse" replaces it by the preimage of x under g. The direct
-# convention is the one that reproduces the published relabelled cycle tables;
-# tests pin it down against anchor simplices.
-ACT_RELABEL = "direct"
 
 MAX_ARITY = 8
 
@@ -70,12 +63,10 @@ def inverse(p: Perm) -> Perm:
 
 
 def act(g: Perm, p: Perm) -> Perm:
-    """Relabel p by g: letter x becomes g(x) (or its g-preimage, see ACT_RELABEL)."""
+    """Relabel p by g: letter x becomes g(x), as in the published relabelled cycle tables."""
     if len(g) != len(p):
         raise ValueError("arity mismatch")
-    if ACT_RELABEL == "direct":
-        return compose(g, p)
-    return compose(inverse(g), p)
+    return compose(g, p)
 
 
 def project_pair(p: Perm, i: int, j: int) -> Perm:

@@ -196,7 +196,7 @@ def test_criterion_8_property_suites():
 
     def rand_cochain(deg, density=0.2):
         n = len(cx.index(deg))
-        return F2Cochain(cx, deg, [i for i in range(n) if rng.random() < density])
+        return F2Cochain(cx, deg, sum(1 << i for i in range(n) if rng.random() < density))
 
     for deg in (0, 1):
         for _ in range(6):

@@ -237,6 +237,46 @@ def test_hochschild_squares_to_zero_on_random_maps():
         assert hochschild_d(hochschild_d(f)).is_zero()
 
 
+def reference_convolution(f, g):
+    """f * g row by row from HomWH.apply and arnold_mult, as frozensets of words."""
+    k, level = f.k, f.level + g.level + 1
+    out = {}
+    for w in w_basis(k, level):
+        acc = frozenset()
+        for u, v in coproduct_component(k, w, f.level + 1, g.level + 1):
+            acc = acc ^ arnold_mult(f.apply(u), g.apply(v))
+        out[w] = acc
+    return out
+
+
+def random_hom(rng, level, qdeg):
+    width = len(arnold_basis(4, qdeg))
+    return HomWH(4, level, qdeg, [rng.getrandbits(width) for _ in w_basis(4, level)])
+
+
+def test_convolution_and_hochschild_match_frozenset_reference_seeded():
+    import random
+
+    rng = random.Random(4077)
+    t = tau(4)
+    shapes = (((0, 1), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 1)), ((0, 2), (0, 1)),
+              ((1, 2), (0, 1)), ((0, 1), (1, 2)), ((0, 0), (1, 2)))
+    for (lf, qf), (lg, qg) in shapes:
+        for _ in range(3):
+            f, g = random_hom(rng, lf, qf), random_hom(rng, lg, qg)
+            conv = convolution(f, g)
+            assert (conv.level, conv.qdeg) == (lf + lg + 1, qf + qg)
+            for w, expected in reference_convolution(f, g).items():
+                assert conv.apply(w) == expected, (lf, qf, lg, qg, w)
+    for level, qdeg in ((0, 1), (1, 1), (1, 2)):
+        for _ in range(3):
+            f = random_hom(rng, level, qdeg)
+            d = hochschild_d(f)
+            left, right = reference_convolution(f, t), reference_convolution(t, f)
+            for w in w_basis(4, level + 1):
+                assert d.apply(w) == left[w] ^ right[w], (level, qdeg, w)
+
+
 def test_homwh_addition_and_equality():
     t = tau(4)
     z = HomWH.zero(4, 0, 1)

@@ -118,6 +118,28 @@ def test_emit_to_missing_directory_exits_two(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_flipped_alpha_bit_is_inconclusive(capsys, monkeypatch):
+    from becochains import cli
+    from becochains.algebras import HomWH, w_basis
+
+    real_alpha = cli.alpha_hom
+    row = w_basis(4, 2).index(((1, 2), (2, 3), (1, 3)))
+
+    def flipped_alpha():
+        a = real_alpha()
+        rows = list(a.rows)
+        rows[row] ^= 1
+        return HomWH(a.k, a.level, a.qdeg, rows)
+
+    monkeypatch.setattr(cli, "alpha_hom", flipped_alpha)
+    code, out, err = run(capsys, "obstruct")
+    assert code == 1
+    assert "verdict: INCONCLUSIVE" in out.splitlines()
+    assert err.startswith("consistency failure diagnostic\n")
+    assert "failing check: alpha-B12B23B13 " in err
+    assert "B12.B23.B13: " in err
+
+
 def test_obstruct_gauge_seed_checks(capsys):
     code, out, _ = run(capsys, "obstruct", "--gauge-seed", "5")
     assert code == 0

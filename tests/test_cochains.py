@@ -20,7 +20,7 @@ from becochains.cochains import (
     pullback,
     zero,
 )
-from becochains.complexes import enumerate_complex, get_complex, simplex_from_text
+from becochains.complexes import enumerate_complex, faces, get_complex, simplex_from_text
 from becochains.gf2 import rank
 
 
@@ -77,7 +77,7 @@ def test_omega_is_a_cocycle():
 
 def random_cochain(rng, cx, deg, density=0.2):
     n = len(cx.index(deg))
-    support = [i for i in range(n) if rng.random() < density]
+    support = sum(1 << i for i in range(n) if rng.random() < density)
     return F2Cochain(cx, deg, support)
 
 
@@ -170,14 +170,58 @@ def test_pairing_adjunction_seeded():
             assert pair(coboundary(c), z) == pair(c, boundary(z))
 
 
+def reference_coboundary(c):
+    """Support of dc, face by face from complexes.faces and index_of."""
+    cx = c.cx
+    below = cx.index(c.degree)
+    out = 0
+    for s_idx, s in enumerate(cx.index(c.degree + 1).simplices()):
+        hits = sum(c.support >> below.index_of(f) & 1 for _, f in faces(s) if f is not None)
+        out |= (hits & 1) << s_idx
+    return out
+
+
+def reference_cup(a, b):
+    """Support of a u b, from the front and back slices of every simplex."""
+    cx, p, q = a.cx, a.degree, b.degree
+    fronts, backs = cx.index(p), cx.index(q)
+    out = 0
+    for s_idx, s in enumerate(cx.index(p + q).simplices()):
+        if a.support >> fronts.index_of(s[:p + 1]) & 1 and b.support >> backs.index_of(s[p:]) & 1:
+            out |= 1 << s_idx
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_coboundary_and_cup_match_pointwise_references_seeded(k):
+    rng = random.Random(600 + k)
+    cx = get_complex(k, 2)
+    for deg in range(cx.top_degree):
+        for density in (0.05, 0.5):
+            c = random_cochain(rng, cx, deg, density)
+            assert coboundary(c).support == reference_coboundary(c), (deg, density)
+    for p, q in ((0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 1)):
+        for density in (0.1, 0.6):
+            a, b = random_cochain(rng, cx, p, density), random_cochain(rng, cx, q, density)
+            assert cup(a, b).support == reference_cup(a, b), (p, q, density)
+
+
+def test_constructor_takes_int_supports_only():
+    cx = get_complex(3, 2)
+    assert F2Cochain(cx, 1, 0b101).simplices() == [cx.index(1).simplex(0), cx.index(1).simplex(2)]
+    assert len(F2Cochain(cx, 1, 0b1011)) == 3
+    with pytest.raises(TypeError):
+        F2Cochain(cx, 1, [0, 2])
+
+
 def test_coboundary_matrix_matches_pointwise():
     cx = get_complex(3, 2)
     m = coboundary_matrix(cx, 1)
     assert (m.rows, m.cols) == (36, 30)
     a = ar()
-    x = sum(1 << i for i in a.support)
+    x = a.support
     dc = coboundary(a)
-    assert m.mul_vec(x) == sum(1 << i for i in dc.support)
+    assert m.mul_vec(x) == dc.support
 
 
 def test_cup_at_top_degree_is_zero():

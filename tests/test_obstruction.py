@@ -333,3 +333,12 @@ def test_validates_class_on_anchors():
 def test_triangle_agreement():
     tri = triangle()
     assert tri == {"solve": True, "pairing": True, "classes": True, "agree": True}
+
+
+def test_triangle_on_a_non_cocycle_disagrees_without_raising():
+    a = alpha_hom()
+    rows = list(a.rows)
+    rows[w_basis(4, 2).index(ANCHOR_WORDS[0])] ^= 1
+    tri = triangle(HomWH(4, 2, 2, rows))
+    # never hit by the differential, but no class: the classes leg fails
+    assert tri == {"solve": True, "pairing": True, "classes": False, "agree": False}
