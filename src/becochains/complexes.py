@@ -8,6 +8,8 @@ the canonical order (lexicographic on concatenated one-line words).
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .perms import Perm, all_perms, ordered_pairs, pair_flags, project_pair
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 Simplex = Tuple[Perm, ...]
+_Key = Tuple[int, ...]
 
 SUPPORTED_T = (2, 3)
 MAX_ENUM_ARITY = 6
@@ -75,70 +78,38 @@ def faces(s: Simplex) -> List[Tuple[int, Optional[Simplex]]]:
     return out
 
 
-def _lane_masks(npairs: int) -> Tuple[int, int]:
-    lo = 0
-    for b in range(npairs):
-        lo |= 1 << (2 * b)
-    return lo, lo << 1
-
-
-def _expand_table(npairs: int) -> List[int]:
-    """diff mask -> the same bits spread to the low bit of each 2-bit lane."""
-    table = [0] * (1 << npairs)
-    for mask in range(1 << npairs):
-        acc = 0
-        m = mask
-        while m:
-            low = m & -m
-            acc |= 1 << (2 * (low.bit_length() - 1))
-            m ^= low
-        table[mask] = acc
-    return table
-
-
 class _Walker:
-    """Shared pruning state for DFS over filtered strings of one (k, t)."""
+    """The swap budgets of one (k, t), applied to a string one level at a time.
+
+    How a string extends depends only on its key: the index of its last
+    level, then for i = 1..t-1 the mask of label pairs (bit b for pair b of
+    ordered_pairs) whose order has changed at least i times along it.
+    """
 
     def __init__(self, k: int, t: int):
         if t not in SUPPORTED_T:
             raise ValueError(f"complexity must be one of {SUPPORTED_T}")
         if not (2 <= k <= MAX_ENUM_ARITY):
             raise ValueError(f"arity must be between 2 and {MAX_ENUM_ARITY}")
-        self.k = k
-        self.t = t
         self.perms = all_perms(k)
-        self.nperms = len(self.perms)
-        self.pairs = ordered_pairs(k)
-        npairs = len(self.pairs)
-        flags = [pair_flags(p, self.pairs) for p in self.perms]
-        self.diffs = [
-            [flags[a] ^ flags[b] for b in range(self.nperms)] for a in range(self.nperms)
-        ]
-        self.expand = _expand_table(npairs)
-        lo, hi = _lane_masks(npairs)
-        self.lane_lo = lo
-        self.lane_hi = hi
+        pairs = ordered_pairs(k)
+        self._flags = [pair_flags(p, pairs) for p in self.perms]
+        self.starts = [(i,) + (0,) * (t - 1) for i in range(len(self.perms))]
 
-    def children(self, cur: int, state: int) -> List[Tuple[int, int]]:
-        """Extensions (next perm index, next state) allowed by the swap budgets."""
-        out = []
-        t = self.t
-        expand = self.expand
-        drow = self.diffs[cur]
-        lane_hi = self.lane_hi
-        lane_lo = self.lane_lo
-        for nxt in range(self.nperms):
-            if nxt == cur:
+    def step(self, key: _Key) -> Tuple[Tuple[int, ...], Tuple[_Key, ...]]:
+        """The next levels the swap budgets allow, by increasing index, and their keys."""
+        cur, *swapped = key
+        here = self._flags[cur]
+        nexts, keys = [], []
+        for nxt, flags in enumerate(self._flags):
+            changed = flags ^ here
+            if nxt == cur or changed & swapped[-1]:
                 continue
-            new = state + expand[drow[nxt]]
-            if t == 2:
-                if new & lane_hi:
-                    continue
-            else:
-                if new & (new >> 1) & lane_lo:
-                    continue
-            out.append((nxt, new))
-        return out
+            # A pair that had changed order i-1 times and changes now has changed i times.
+            masks = [m | (fewer & changed) for fewer, m in zip([-1] + swapped, swapped)]
+            nexts.append(nxt)
+            keys.append((nxt, *masks))
+        return tuple(nexts), tuple(keys)
 
 
 class ComplexIndex:
@@ -151,8 +122,12 @@ class ComplexIndex:
         self.perms = perms
         self.bits = bits
         self.codes = codes
-        self.pos: Dict[int, int] = {c: i for i, c in enumerate(codes)}
         self._perm_index = {p: i for i, p in enumerate(perms)}
+
+    @cached_property
+    def pos(self) -> Dict[int, int]:
+        """Code -> index, built on the first lookup."""
+        return dict(zip(self.codes, range(len(self.codes))))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -200,10 +175,15 @@ class Complex:
         self.perms = self._walker.perms
         self.bits = max(1, (len(self.perms) - 1).bit_length())
         self.top_degree = (t - 1) * (k * (k - 1) // 2)
-        self._tables: Dict[int, ComplexIndex] = {}
-        self._built_to = -1
-        self._face_idx: Dict[int, List[List[int]]] = {}
+        self._tables: Dict[int, ComplexIndex] = {0: self._table(0, list(range(len(self.perms))))}
+        self._built_to = 0
+        # Walker keys of the highest built table, one per simplex, for the next extension.
+        self._frontier: List[_Key] = self._walker.starts
+        self._face_idx: Dict[int, List[Tuple[int, ...]]] = {}
         self._front_back: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+
+    def _table(self, deg: int, codes: List[int]) -> ComplexIndex:
+        return ComplexIndex(self.k, self.t, deg, self.perms, self.bits, codes)
 
     def index(self, deg: int) -> ComplexIndex:
         """The canonical table for one degree, enumerating on first use.
@@ -214,79 +194,71 @@ class Complex:
             raise ValueError("degree must be non-negative")
         if deg > self.top_degree:
             if deg not in self._tables:
-                self._tables[deg] = ComplexIndex(
-                    self.k, self.t, deg, self.perms, self.bits, []
-                )
+                self._tables[deg] = self._table(deg, [])
             return self._tables[deg]
         if deg > self._built_to:
             self._build(deg)
         return self._tables[deg]
 
     def _build(self, up_to: int):
-        w = self._walker
-        bits = self.bits
-        per_degree: List[List[int]] = [[] for _ in range(up_to + 1)]
-        # DFS in index order; prefix order makes every degree table sorted.
-        stack: List[Tuple[int, int, int, int]] = []
-        for start in range(w.nperms - 1, -1, -1):
-            stack.append((start, 0, start, 0))
-        while stack:
-            cur, state, code, deg = stack.pop()
-            per_degree[deg].append(code)
-            if deg == up_to:
-                continue
-            kids = w.children(cur, state)
-            for nxt, new in reversed(kids):
-                stack.append((nxt, new, (code << bits) | nxt, deg + 1))
-        for deg, codes in enumerate(per_degree):
-            self._tables[deg] = ComplexIndex(self.k, self.t, deg, self.perms, bits, codes)
-        self._built_to = up_to
-        self._face_idx.clear()
-        self._front_back.clear()
+        """Extend the highest built degree one level at a time.
 
-    def face_indices(self, deg: int) -> List[List[int]]:
+        Extending a sorted table by increasing last level gives the next
+        sorted table, since all its codes have the same length.
+        """
+        # Many strings share a key; the memo lives for this build only.
+        step = lru_cache(maxsize=None)(self._walker.step)
+        bits = self.bits
+        for deg in range(self._built_to + 1, up_to + 1):
+            codes: List[int] = []
+            keys: List[_Key] = []
+            for code, key in zip(self._tables[deg - 1].codes, self._frontier):
+                nexts, next_keys = step(key)
+                base = code << bits
+                codes += [base | n for n in nexts]
+                keys += next_keys
+            self._tables[deg] = self._table(deg, codes)
+            self._frontier = keys
+            self._built_to = deg
+
+    def face_indices(self, deg: int) -> List[Tuple[int, ...]]:
         """For each degree-deg simplex, its face index per position (-1 if degenerate)."""
         if deg not in self._face_idx:
-            tbl = self.index(deg)
-            below = self.index(deg - 1)
+            codes = self.index(deg).codes
+            pos = self.index(deg - 1).pos
             bits = self.bits
-            rows: List[List[int]] = []
-            mask_all = (1 << (bits * (deg + 1))) - 1
-            for code in tbl.codes:
-                row = []
-                for m in range(deg + 1):
-                    # Delete level m: keep the high part above it and the low part below.
-                    shift = bits * (deg - m)
-                    high = code >> (shift + bits)
-                    low = code & ((1 << shift) - 1)
-                    fcode = ((high << shift) | low) & mask_all
-                    if 0 < m < deg:
-                        lvl_prev = (code >> (shift + bits)) & ((1 << bits) - 1)
-                        lvl_next = (code >> (shift - bits)) & ((1 << bits) - 1)
-                        if lvl_prev == lvl_next:
-                            row.append(-1)
-                            continue
-                    row.append(below.pos[fcode])
-                rows.append(row)
-            self._face_idx[deg] = rows
+            level = (1 << bits) - 1
+            cols = []
+            for m in range(deg + 1):
+                # Delete level m: keep the levels above it, shifted down, and those below.
+                shift = bits * (deg - m)
+                above = shift + bits
+                below = (1 << shift) - 1
+                if 0 < m < deg:
+                    # The face is degenerate when the neighbours of level m are equal.
+                    cols.append([
+                        pos[(c >> above << shift) | (c & below)]
+                        if (c >> above ^ c >> shift - bits) & level else -1
+                        for c in codes
+                    ])
+                else:
+                    cols.append([pos[(c >> above << shift) | (c & below)] for c in codes])
+            self._face_idx[deg] = list(zip(*cols))
         return self._face_idx[deg]
 
     def front_back(self, p: int, q: int) -> Tuple[List[int], List[int]]:
         """Front p-face and back q-face indices for every degree p+q simplex."""
         key = (p, q)
         if key not in self._front_back:
-            tbl = self.index(p + q)
-            front_tbl = self.index(p)
-            back_tbl = self.index(q)
-            bits = self.bits
-            fronts = []
-            backs = []
-            shift = bits * q
-            bmask = (1 << (bits * (q + 1))) - 1
-            for code in tbl.codes:
-                fronts.append(front_tbl.pos[code >> shift])
-                backs.append(back_tbl.pos[code & bmask])
-            self._front_back[key] = (fronts, backs)
+            codes = self.index(p + q).codes
+            fronts = self.index(p).pos
+            backs = self.index(q).pos
+            shift = self.bits * q
+            back_mask = (1 << (shift + self.bits)) - 1
+            self._front_back[key] = (
+                [fronts[c >> shift] for c in codes],
+                [backs[c & back_mask] for c in codes],
+            )
         return self._front_back[key]
 
 
@@ -303,25 +275,25 @@ def get_complex(k: int, t: int) -> Complex:
 def count_by_degree(k: int, t: int, max_degree: int) -> List[int]:
     """Simplex counts per degree 0..max_degree, without materializing tables.
 
-    Walks only strings starting at the identity (the diagonal action is free,
-    so every orbit has exactly one such string) and scales counts by k!.
+    Counts only strings starting at the identity (the diagonal action is free,
+    so every orbit has exactly one such string) and scales counts by k!. The
+    strings of one degree are counted per key, since the key alone decides
+    how a string extends.
     """
     w = _Walker(k, t)
     top = (t - 1) * (k * (k - 1) // 2)
     if max_degree < 0 or max_degree > top:
         raise ValueError(f"max degree must be in 0..{top}")
-    orbit = len(w.perms)
-    counts = [0] * (max_degree + 1)
-    ident = 0  # identity is lexicographically first
-    stack: List[Tuple[int, int, int]] = [(ident, 0, 0)]
-    while stack:
-        cur, state, deg = stack.pop()
-        counts[deg] += 1
-        if deg == max_degree:
-            continue
-        for nxt, new in w.children(cur, state):
-            stack.append((nxt, new, deg + 1))
-    return [c * orbit for c in counts]
+    level = {w.starts[0]: 1}  # the identity is lexicographically first
+    counts = [1]
+    for _ in range(max_degree):
+        nxt: Dict[_Key, int] = defaultdict(int)
+        for key, n in level.items():
+            for next_key in w.step(key)[1]:
+                nxt[next_key] += n
+        level = nxt
+        counts.append(sum(level.values()))
+    return [c * len(w.perms) for c in counts]
 
 
 def enumerate_complex(k: int, t: int, deg: int) -> ComplexIndex:

@@ -15,7 +15,7 @@ from typing import FrozenSet, Sequence, Tuple
 from .algebras import Word, arnold_basis
 from .cochains import F2Chain, F2Cochain, coboundary, cup, from_simplices, omega, pair
 from .complexes import Complex, Simplex, get_complex, is_nondegenerate
-from .gf2 import BitMatrix, solve
+from .gf2 import BitMatrix
 from .perms import Perm, act, block_substitute
 
 __all__ = [
@@ -182,22 +182,27 @@ def pairing_matrix() -> BitMatrix:
     return BitMatrix(len(rows), len(cycles), rows)
 
 
+@lru_cache(maxsize=None)
+def _dual_cycle_chains() -> Tuple[F2Chain, ...]:
+    """The 11 cycle chains, once checked to be dual to the quadratic basis."""
+    m = pairing_matrix()
+    if m.data != [1 << i for i in range(m.cols)]:
+        raise RuntimeError("pairing matrix is not the identity: cycles not dual to the basis")
+    return _cycle_chains()
+
+
 def class_of_cocycle(c: F2Cochain) -> FrozenSet[Word]:
     """Cohomology class of a degree-2 cocycle in the admissible basis.
 
-    Solves the pairing system: the class's coefficient vector x satisfies
-    M^T x = (pairings of c with the cycles).
+    The pairing matrix M is the identity, so the class's coefficient vector x,
+    which satisfies M^T x = (pairings of c with the cycles), is the pairings.
     """
     if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
         raise ValueError("expected a degree-2 cochain of the arity-4 complex")
     if coboundary(c):
         raise ValueError("not a cocycle")
-    p = sum(pair(c, z) << s for s, z in enumerate(_cycle_chains()))
-    x = solve(pairing_matrix().transpose(), p)
-    if x is None:
-        raise ValueError("pairings are inconsistent with the cycle basis")
     basis = arnold_basis(4, 2)
-    return frozenset(basis[r] for r in range(len(basis)) if x >> r & 1)
+    return frozenset(basis[r] for r, z in enumerate(_dual_cycle_chains()) if pair(c, z))
 
 
 def is_two_block_cycle(ch: Chain) -> bool:

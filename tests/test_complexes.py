@@ -3,6 +3,7 @@
 import pytest
 
 from becochains.complexes import (
+    Complex,
     count_by_degree,
     degree,
     enumerate_complex,
@@ -85,6 +86,56 @@ def test_group_action_preserves_tables():
     for g in all_perms(3):
         relabeled = {tuple(act(g, p) for p in s) for s in sims}
         assert relabeled == sims
+
+
+def _brute_force_tables(k, t, top):
+    """Every filtered nondegenerate string of degree 0..top, sorted per degree.
+
+    Faces of such strings are again such strings, so the candidates of one
+    degree are the strings whose front and back faces lie in the degree
+    below; each candidate is then tested in full.
+    """
+    perms = all_perms(k)
+    level = [(p,) for p in perms]
+    out = [level]
+    for _ in range(top):
+        below = set(level)
+        candidates = [s + (p,) for s in level for p in perms if s[1:] + (p,) in below]
+        level = sorted(s for s in candidates if is_nondegenerate(s) and in_filtration(s, t))
+        out.append(level)
+    return out
+
+
+@pytest.mark.parametrize("k, t, top", [(3, 2, 3), (4, 2, 6), (3, 3, 4)])
+def test_tables_match_brute_force_references(k, t, top):
+    cx = Complex(k, t)
+    for d, sims in enumerate(_brute_force_tables(k, t, top)):
+        tbl = cx.index(d)
+        assert all(a < b for a, b in zip(tbl.codes, tbl.codes[1:]))
+        assert tbl.simplices() == sims
+        if d:
+            below = cx.index(d - 1)
+            expected = [
+                [-1 if f is None else below.index_of(f) for _, f in faces(s)] for s in sims
+            ]
+            assert [list(row) for row in cx.face_indices(d)] == expected
+        for p in range(d + 1):
+            fronts, backs = cx.front_back(p, d - p)
+            assert fronts == [cx.index(p).index_of(s[: p + 1]) for s in sims]
+            assert backs == [cx.index(d - p).index_of(s[p:]) for s in sims]
+
+
+def test_tables_extend_in_place():
+    cx = Complex(4, 2)
+    cx.index(1)
+    rows = cx.face_indices(1)
+    cx.index(6)
+    straight = Complex(4, 2)
+    straight.index(6)
+    assert [cx.index(d).codes for d in range(7)] == [straight.index(d).codes for d in range(7)]
+    assert cx.face_indices(1) is rows
+    # No lookup has touched the top table, so it has no position map.
+    assert "pos" not in vars(cx.index(6))
 
 
 def test_simplicial_identities():

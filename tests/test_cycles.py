@@ -113,6 +113,21 @@ def test_pairing_matrix_is_identity():
         assert m.data[i] == 1 << i
 
 
+def test_swapped_cycle_order_is_caught(monkeypatch):
+    chains = cycles._cycle_chains()
+    swapped = (chains[1], chains[0]) + chains[2:]
+    caches = (pairing_matrix, cycles._dual_cycle_chains)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(cycles, "_cycle_chains", lambda: swapped)
+    try:
+        with pytest.raises(RuntimeError, match="not the identity"):
+            class_of_cocycle(omega_product(arnold_basis(4, 2)[0]))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
 def test_pairing_entries_pointwise():
     cx = get_complex(4, 2)
     basis = arnold_basis(4, 2)
