@@ -35,6 +35,7 @@ from .complexes import count_by_degree, get_complex
 from .obstruction import (
     ANCHOR_WORDS,
     ANCHOR_VALUES,
+    _triangle_legs,
     alpha_hom,
     beta,
     dual_d,
@@ -43,7 +44,6 @@ from .obstruction import (
     pair_alpha_beta,
     phi_d,
     random_gauge,
-    triangle,
 )
 
 # Displayed per-degree table sizes, by (arity, filtration).
@@ -289,11 +289,9 @@ def cmd_obstruct(gauge_seed: Optional[int]) -> Report:
     report.add("dual-beta-zero", True, not dual_d(b), "paper")
     report.add("pairing-alpha-beta", 1, pair_alpha_beta(a, b), "paper")
 
-    # A non-cocycle is never hit by the differential; d-alpha-zero fails instead.
-    witness = is_coboundary(a) if closed else None
-    report.add("not-a-coboundary", True, witness is None, "derived")
-
-    tri = triangle(a)
+    # The solve leg is this check; a non-cocycle fails d-alpha-zero instead.
+    tri = _triangle_legs(a, closed)
+    report.add("not-a-coboundary", True, tri["solve"], "derived")
     report.add("consistency-triangle", True, tri["agree"], "derived")
 
     if gauge_seed is not None:

@@ -160,8 +160,18 @@ def _cup_masks(cx: Complex, p: int, q: int) -> Tuple[List[int], List[int]]:
     return front_masks, back_masks
 
 
+def _front_image(a: F2Cochain, q: int) -> int:
+    """Degree p+q simplices whose front p-face lies in the support of the p-cochain a."""
+    return reduce(or_, map(_cup_masks(a.cx, a.degree, q)[0].__getitem__, _bits(a.support)), 0)
+
+
+def _back_image(b: F2Cochain, p: int) -> int:
+    """Degree p+q simplices whose back q-face lies in the support of the q-cochain b."""
+    return reduce(or_, map(_cup_masks(b.cx, p, b.degree)[1].__getitem__, _bits(b.support)), 0)
+
+
 def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:
-    """Alexander-Whitney product: evaluate a on front faces and b on back faces."""
+    """Alexander-Whitney product: the AND of a's front image and b's back image."""
     if a.cx is not b.cx:
         raise ValueError("ambient complex mismatch")
     cx = a.cx
@@ -169,10 +179,7 @@ def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:
     if p + q > cx.top_degree:
         # Nothing lives above the top degree; the product collapses.
         return F2Cochain(cx, p + q)
-    front_masks, back_masks = _cup_masks(cx, p, q)
-    front = reduce(or_, map(front_masks.__getitem__, _bits(a.support)), 0)
-    back = reduce(or_, map(back_masks.__getitem__, _bits(b.support)), 0)
-    return F2Cochain(cx, p + q, front & back)
+    return F2Cochain(cx, p + q, _front_image(a, q) & _back_image(b, p))
 
 
 def cup1(a: F2Cochain, b: F2Cochain) -> F2Cochain:

@@ -9,25 +9,28 @@ the verdict through the pairing.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from random import Random
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .algebras import (
     HomWH,
     Pair,
     Word,
+    _product_table,
     arnold_basis,
     arnold_normalize,
     coproduct_component,
     hochschild_d,
+    tau,
     w_basis,
 )
 from .cochains import (
     F2Cochain,
+    _back_image,
+    _front_image,
     ar,
     coboundary_matrix,
-    cup,
     cup1,
     omega,
     pullback,
@@ -87,7 +90,6 @@ def phi0(w: Word, k: int = 4) -> F2Cochain:
     return omega(k, *w[0])
 
 
-@lru_cache(maxsize=None)
 def phi1(w: Word, k: int = 4) -> F2Cochain:
     """Degree-1 cochain bounding the quadratic relation of a level-1 generator.
 
@@ -96,6 +98,11 @@ def phi1(w: Word, k: int = 4) -> F2Cochain:
     pullback of the three-letter bounding cochain, with one extra cup-1
     correction when the first indices are increasing.
     """
+    return _phi1(w, k)
+
+
+@lru_cache(maxsize=None)
+def _phi1(w: Word, k: int) -> F2Cochain:
     if len(w) != 2:
         raise ValueError("phi1 expects a length-2 word")
     (i, j), (l, m) = w
@@ -111,22 +118,35 @@ def phi1(w: Word, k: int = 4) -> F2Cochain:
     return pullback(cx, (i, l, m), ar()) + cup1(omega(k, i, m), omega(k, l, m))
 
 
-def _phi_d_with(phi1_fn: Callable[[Word], F2Cochain], w: Word, k: int) -> F2Cochain:
-    if len(w) != 3:
-        raise ValueError("expected a length-3 word")
+def _phi_d_all(level1: Sequence[F2Cochain], k: int) -> Dict[Word, F2Cochain]:
+    """Error cocycles of all level-2 generators from phi1 on the level-1 basis.
+
+    Each factor's front and back images are formed once; a cup is their AND.
+    """
+    front, back = {}, {}
+    for u, c in [*zip(w_basis(k, 1), level1), *((g, phi0(g, k)) for g in w_basis(k, 0))]:
+        front[u], back[u] = _front_image(c, 1), _back_image(c, 1)
     cx = get_complex(k, 2)
-    acc = zero(cx, 2)
-    for u, v in coproduct_component(k, w, 2, 1):
-        acc = acc + cup(phi1_fn(u), phi0(v, k))
-    for u, v in coproduct_component(k, w, 1, 2):
-        acc = acc + cup(phi0(u, k), phi1_fn(v))
-    return acc
+    out = {}
+    for w in w_basis(k, 2):
+        acc = 0
+        for u, v in coproduct_component(k, w, 2, 1) + coproduct_component(k, w, 1, 2):
+            acc ^= front[u] & back[v]
+        out[w] = F2Cochain(cx, 2, acc)
+    return out
 
 
 @lru_cache(maxsize=None)
+def _phi_d_table(k: int) -> Dict[Word, F2Cochain]:
+    return _phi_d_all([phi1(u, k) for u in w_basis(k, 1)], k)
+
+
 def phi_d(w: Word, k: int = 4) -> F2Cochain:
     """Error cocycle of a level-2 generator: cups of phi1 x phi0 over the coproduct."""
-    return _phi_d_with(lambda u: phi1(u, k), w, k)
+    table = _phi_d_table(k)
+    if w not in table:
+        raise ValueError(f"not a level-2 generator: {w}")
+    return table[w]
 
 
 def alpha(w: Word) -> FrozenSet[Word]:
@@ -146,21 +166,31 @@ def _packed(h: HomWH) -> int:
     return sum(row << (r * width) for r, row in enumerate(h.rows))
 
 
-@lru_cache(maxsize=None)
 def hochschild_matrix(k: int = 4) -> BitMatrix:
     """Matrix of the convolution differential Hom(W1,H1) -> Hom(W2,H2).
 
     Columns run over elementary maps (one level-1 word to one degree-1
     class); rows over the packed target basis. For k = 4 this is 990x150.
     """
-    nw1, nh1 = len(w_basis(k, 1)), len(arnold_basis(k, 1))
-    cols = []
-    for wi in range(nw1):
-        for mi in range(nh1):
-            f = HomWH(k, 1, 1, [(1 << mi) if r == wi else 0 for r in range(nw1)])
-            cols.append(_packed(hochschild_d(f)))
-    nrows = len(w_basis(k, 2)) * len(arnold_basis(k, 2))
-    return BitMatrix(len(cols), nrows, cols).transpose()
+    return _hochschild_matrix(k)
+
+
+@lru_cache(maxsize=None)
+def _hochschild_matrix(k: int) -> BitMatrix:
+    """d(f) = f * tau + tau * f on elementary maps, read off the coproduct splits."""
+    nh1, nh2 = len(arnold_basis(k, 1)), len(arnold_basis(k, 2))
+    products = _product_table(k, 1, 1)
+    tau_col = {g: row.bit_length() - 1 for g, row in zip(w_basis(k, 0), tau(k).rows)}
+    first = {u: i * nh1 for i, u in enumerate(w_basis(k, 1))}
+    cols = [0] * (len(first) * nh1)
+    for r, w in enumerate(w_basis(k, 2)):
+        for u, v in coproduct_component(k, w, 2, 1):
+            for mi in range(nh1):
+                cols[first[u] + mi] ^= products[mi][tau_col[v]] << r * nh2
+        for u, v in coproduct_component(k, w, 1, 2):
+            for mi in range(nh1):
+                cols[first[v] + mi] ^= products[tau_col[u]][mi] << r * nh2
+    return BitMatrix(len(cols), len(w_basis(k, 2)) * nh2, cols).transpose()
 
 
 def is_coboundary(a: HomWH) -> Optional[HomWH]:
@@ -177,11 +207,7 @@ def is_coboundary(a: HomWH) -> Optional[HomWH]:
 
 def _cap(a: Pair, h: Word, k: int) -> List[Word]:
     """Transpose of multiplication by one generator on dual-basis coordinates."""
-    out = []
-    for x in arnold_basis(k, len(h) - 1):
-        if h in arnold_normalize(x + (a,)):
-            out.append(x)
-    return out
+    return [x for x in arnold_basis(k, len(h) - 1) if h in arnold_normalize(x + (a,))]
 
 
 def dual_d(z: DualElt, k: int = 4) -> DualElt:
@@ -223,11 +249,7 @@ def beta() -> DualElt:
 
 def pair_alpha_beta(a: HomWH, b: DualElt) -> int:
     """Sum over summands w (x) h of the h-coefficient of a(w)."""
-    total = 0
-    for word, h in b:
-        if h in a.apply(word):
-            total ^= 1
-    return total
+    return sum(h in a.apply(word) for word, h in b) & 1
 
 
 def gauge_shift(f: HomWH) -> HomWH:
@@ -239,17 +261,10 @@ def gauge_shift(f: HomWH) -> HomWH:
     if (f.level, f.qdeg) != (1, 1):
         raise ValueError("gauge perturbation must map level 1 to degree 1")
     k = f.k
-
-    def shifted(u: Word) -> F2Cochain:
-        c = phi1(u, k)
-        for m in f.apply(u):
-            c = c + omega(k, *m[0])
-        return c
-
-    def new_alpha(w: Word) -> FrozenSet[Word]:
-        return class_of_cocycle(_phi_d_with(shifted, w, k))
-
-    return HomWH.from_map(k, 2, 2, new_alpha)
+    level1 = [reduce(F2Cochain.__add__, (omega(k, *m[0]) for m in f.apply(u)), phi1(u, k))
+              for u in w_basis(k, 1)]
+    cocycles = _phi_d_all(level1, k)
+    return HomWH.from_map(k, 2, 2, lambda w: class_of_cocycle(cocycles[w]))
 
 
 def random_gauge(seed: int, k: int = 4) -> HomWH:
@@ -301,19 +316,19 @@ def triangle(a: Optional[HomWH] = None) -> Dict[str, bool]:
     certifying cycle is closed and pairs to 1; classes: alpha is a Hochschild
     cocycle and the six anchor classes validate against the coboundary space.
     """
-    base = alpha_hom()
     if a is None:
-        a = base
+        a = alpha_hom()
+    return _triangle_legs(a, hochschild_d(a).is_zero())
+
+
+def _triangle_legs(a: HomWH, closed: bool) -> Dict[str, bool]:
+    """The legs of triangle(a), given whether hochschild_d(a) vanishes."""
     b = beta()
-    try:
-        leg_solve = is_coboundary(a) is None
-    except ValueError:
-        # A non-cocycle is never hit by the differential; the classes leg fails on it.
-        leg_solve = True
+    # A non-cocycle is never hit by the differential; the classes leg fails on it.
+    leg_solve = not closed or solve(hochschild_matrix(a.k), _packed(a)) is None
     leg_pairing = (not dual_d(b)) and pair_alpha_beta(a, b) == 1
-    leg_classes = hochschild_d(a).is_zero() and all(
-        validates_class(phi_d(w), base.apply(w)) for w in ANCHOR_WORDS
-    )
+    base = alpha_hom()
+    leg_classes = closed and all(validates_class(phi_d(w), base.apply(w)) for w in ANCHOR_WORDS)
     return {
         "solve": leg_solve,
         "pairing": leg_pairing,

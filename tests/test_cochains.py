@@ -6,6 +6,8 @@ import pytest
 
 from becochains.cochains import (
     F2Cochain,
+    _back_image,
+    _front_image,
     ar,
     boundary,
     coboundary,
@@ -204,6 +206,22 @@ def test_coboundary_and_cup_match_pointwise_references_seeded(k):
         for density in (0.1, 0.6):
             a, b = random_cochain(rng, cx, p, density), random_cochain(rng, cx, q, density)
             assert cup(a, b).support == reference_cup(a, b), (p, q, density)
+
+
+def test_front_and_back_images_match_pointwise_references_seeded():
+    """Bit s of an image is the cochain's value on the front or back face of simplex s."""
+    rng = random.Random(642)
+    cx = get_complex(4, 2)
+    for p, q in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (0, 3)):
+        target = cx.index(p + q).simplices()
+        fronts, backs = cx.index(p), cx.index(q)
+        for density in (0.1, 0.6):
+            a, b = random_cochain(rng, cx, p, density), random_cochain(rng, cx, q, density)
+            front, back = _front_image(a, q), _back_image(b, p)
+            assert front >> len(target) == 0 and back >> len(target) == 0
+            for s_idx, s in enumerate(target):
+                assert front >> s_idx & 1 == a.support >> fronts.index_of(s[:p + 1]) & 1
+                assert back >> s_idx & 1 == b.support >> backs.index_of(s[p:]) & 1
 
 
 def test_constructor_takes_int_supports_only():

@@ -1,8 +1,11 @@
 """The obstruction class: twisting maps, convolution cocycle, dual cycle, pairing."""
 
+import pytest
+
 from becochains.algebras import (
     HomWH,
     arnold_basis,
+    coproduct_component,
     d_w1,
     hochschild_d,
     parse_word,
@@ -19,10 +22,11 @@ from becochains.cochains import (
     zero,
 )
 from becochains.complexes import get_complex, simplex_from_text
-from becochains.cycles import h2_cycle_table
+from becochains.cycles import class_of_cocycle, h2_cycle_table
 from becochains.obstruction import (
     ANCHOR_VALUES,
     ANCHOR_WORDS,
+    _phi_d_all,
     alpha,
     alpha_hom,
     beta,
@@ -205,6 +209,68 @@ def test_hochschild_matrix_shape_and_consistency():
         # row-major packing: bit r * width2 + c is coefficient c of row r
         packed = sum(row << (r * width2) for r, row in enumerate(hochschild_d(f).rows))
         assert columns[col] == packed
+
+
+def test_hochschild_matrix_matches_elementary_differentials():
+    """Every column against hochschild_d of its elementary map, packed row-major."""
+    k = 4
+    nw1, nh1 = len(w_basis(k, 1)), len(arnold_basis(k, 1))
+    width2 = len(arnold_basis(k, 2))
+    cols = []
+    for wi in range(nw1):
+        for mi in range(nh1):
+            f = HomWH(k, 1, 1, [(1 << mi) if r == wi else 0 for r in range(nw1)])
+            cols.append(sum(row << (r * width2) for r, row in enumerate(hochschild_d(f).rows)))
+    m = hochschild_matrix(k)
+    assert (m.rows, m.cols) == (len(w_basis(k, 2)) * width2, nw1 * nh1)
+    assert m.transpose().data == cols
+
+
+def test_default_and_explicit_arity_share_one_cache_entry():
+    assert hochschild_matrix() is hochschild_matrix(4)
+    for u in w_basis(4, 1):
+        assert phi1(u) is phi1(u, 4)
+    for w in w_basis(4, 2):
+        assert phi_d(w) is phi_d(w, 4)
+
+
+def test_phi_d_rejects_a_non_generator():
+    with pytest.raises(ValueError):
+        phi_d(W("B23.B12.B13"))
+    with pytest.raises(ValueError):
+        phi_d(W("B12.B23"))
+
+
+def reference_phi_d(level1, w):
+    """Sum of cup(phi1 u, phi0 v) over the (2,1) split and cup(phi0 u, phi1 v) over the (1,2) one."""
+    acc = zero(get_complex(4, 2), 2)
+    for u, v in coproduct_component(4, w, 2, 1):
+        acc = acc + cup(level1[u], phi0(v))
+    for u, v in coproduct_component(4, w, 1, 2):
+        acc = acc + cup(phi0(u), level1[v])
+    return acc
+
+
+def test_phi_d_matches_per_pair_cups():
+    level1 = {u: phi1(u) for u in w_basis(4, 1)}
+    for w in w_basis(4, 2):
+        assert phi_d(w) == reference_phi_d(level1, w), w
+
+
+@pytest.mark.parametrize("seed", [0, 42, 7, 1234])
+def test_gauge_assembly_matches_per_pair_cups(seed):
+    f = random_gauge(seed)
+    gens = w_basis(4, 1)
+    level1 = {}
+    for u in gens:
+        c = phi1(u)
+        for m in f.apply(u):
+            c = c + omega(4, *m[0])
+        level1[u] = c
+    assembled = _phi_d_all([level1[u] for u in gens], 4)
+    refs = {w: reference_phi_d(level1, w) for w in w_basis(4, 2)}
+    assert assembled == refs
+    assert gauge_shift(f) == HomWH.from_map(4, 2, 2, lambda w: class_of_cocycle(refs[w]))
 
 
 def test_dual_d_transposes_hochschild_d():
