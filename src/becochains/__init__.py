@@ -9,22 +9,13 @@ verdict. Everything is exact arithmetic over the field with two elements.
 
 __version__ = "0.1.0"
 
-from .gf2 import BitMatrix, kernel_basis, rank, rowspace_basis, solve
-from .perms import all_perms, compose, inverse, act, project_pair, project_triple
-from .complexes import (
-    Complex,
-    count_by_degree,
-    degree,
-    enumerate_complex,
-    get_complex,
-    in_filtration,
-    swap_count,
-)
+from .gf2 import BitMatrix, rank, rowspace_basis, solve
+from .perms import all_perms, act, project_pair, project_triple
+from .complexes import Complex, count_by_degree, get_complex
 from .cochains import (
     F2Chain,
     F2Cochain,
     ar,
-    boundary,
     coboundary,
     coboundary_matrix,
     cochain_text,
@@ -40,13 +31,11 @@ from .cochains import (
 from .algebras import (
     HomWH,
     arnold_basis,
-    arnold_mult,
     arnold_normalize,
     convolution,
     coproduct,
     coproduct_component,
     d_w1,
-    dims,
     hochschild_d,
     parse_word,
     tau,
@@ -60,7 +49,6 @@ from .cycles import (
     gamma,
     gamma_gamma,
     h2_cycle_table,
-    h2_cycles,
     mult,
     circ,
     omega_product,
@@ -85,17 +73,16 @@ from .obstruction import (
 
 __all__ = [
     "__version__",
-    "BitMatrix", "kernel_basis", "rank", "rowspace_basis", "solve",
-    "all_perms", "compose", "inverse", "act", "project_pair", "project_triple",
-    "Complex", "count_by_degree", "degree", "enumerate_complex", "get_complex",
-    "in_filtration", "swap_count",
-    "F2Chain", "F2Cochain", "ar", "boundary", "coboundary", "coboundary_matrix",
+    "BitMatrix", "rank", "rowspace_basis", "solve",
+    "all_perms", "act", "project_pair", "project_triple",
+    "Complex", "count_by_degree", "get_complex",
+    "F2Chain", "F2Cochain", "ar", "coboundary", "coboundary_matrix",
     "cochain_text", "cup", "cup1", "from_simplices", "omega", "pair",
     "parse_cochain", "pullback", "zero",
-    "HomWH", "arnold_basis", "arnold_mult", "arnold_normalize", "convolution",
-    "coproduct", "coproduct_component", "d_w1", "dims", "hochschild_d",
+    "HomWH", "arnold_basis", "arnold_normalize", "convolution",
+    "coproduct", "coproduct_component", "d_w1", "hochschild_d",
     "parse_word", "tau", "w_basis", "word_text", "yb_basis", "yb_normalize",
-    "class_of_cocycle", "gamma", "gamma_gamma", "h2_cycle_table", "h2_cycles",
+    "class_of_cocycle", "gamma", "gamma_gamma", "h2_cycle_table",
     "mult", "circ", "omega_product", "pairing_matrix", "t_cycle",
     "alpha", "alpha_hom", "beta", "dual_d", "gauge_shift", "hochschild_matrix",
     "is_coboundary", "pair_alpha_beta", "phi0", "phi1", "phi_d", "random_gauge",

@@ -17,14 +17,10 @@ __all__ = [
     "Pair",
     "Word",
     "arnold_normalize",
-    "arnold_mult",
     "yb_normalize",
-    "is_admissible_arnold",
-    "is_admissible_yb",
     "arnold_basis",
     "yb_basis",
     "w_basis",
-    "dims",
     "coproduct",
     "coproduct_component",
     "d_w1",
@@ -47,18 +43,6 @@ def _normpair(a: int, b: int) -> Pair:
     if a == b:
         raise ValueError("generator indices must be distinct")
     return (a, b) if a < b else (b, a)
-
-
-def is_admissible_arnold(word: Word) -> bool:
-    return all(i < j for i, j in word) and all(
-        word[m][1] < word[m + 1][1] for m in range(len(word) - 1)
-    )
-
-
-def is_admissible_yb(word: Word) -> bool:
-    return all(i < j for i, j in word) and all(
-        word[m][1] <= word[m + 1][1] for m in range(len(word) - 1)
-    )
 
 
 def arnold_normalize(raw: Sequence[Sequence[int]]) -> Element:
@@ -90,16 +74,6 @@ def arnold_normalize(raw: Sequence[Sequence[int]]) -> Element:
         for repl in (((i1, i2), (i2, j)), ((i1, i2), (i1, j))):
             new = tuple(sorted(rest + repl, key=lambda p: (p[1], p[0])))
             pending ^= {new}
-    return frozenset(acc)
-
-
-def arnold_mult(x: Iterable[Word], y: Iterable[Word]) -> Element:
-    """Bilinear product of two admissible-support elements."""
-    acc: set = set()
-    ys = list(y)
-    for a in x:
-        for b in ys:
-            acc ^= arnold_normalize(a + b)
     return frozenset(acc)
 
 
@@ -175,15 +149,6 @@ def w_basis(k: int, level: int) -> Tuple[Word, ...]:
     return yb_basis(k, level + 1)
 
 
-def dims(kind: str, k: int, length: int) -> int:
-    """Number of admissible basis words of one length."""
-    if kind == "arnold":
-        return len(arnold_basis(k, length))
-    if kind == "yb":
-        return len(yb_basis(k, length))
-    raise ValueError("kind must be 'arnold' or 'yb'")
-
-
 @lru_cache(maxsize=None)
 def _split_table(k: int, lu: int, lv: int) -> Dict[Word, Tuple[Tuple[Word, Word], ...]]:
     """For each admissible word, the (u, v) with given lengths whose product contains it."""
@@ -249,10 +214,6 @@ class HomWH:
         if len(rows) != expected:
             raise ValueError(f"expected {expected} rows, got {len(rows)}")
         self.rows = tuple(rows)
-
-    @classmethod
-    def zero(cls, k: int, level: int, qdeg: int) -> "HomWH":
-        return cls(k, level, qdeg, [0] * len(w_basis(k, level)))
 
     @classmethod
     def from_map(cls, k: int, level: int, qdeg: int, fn: Callable[[Word], Iterable[Word]]) -> "HomWH":

@@ -21,7 +21,6 @@ __all__ = [
     "zero",
     "from_simplices",
     "coboundary",
-    "boundary",
     "cup",
     "cup1",
     "pullback",
@@ -42,6 +41,9 @@ class F2Cochain:
     def __init__(self, cx: Complex, degree: int, support: int = 0):
         if not isinstance(support, int):
             raise TypeError("support must be an int bitset")
+        # Checked only when nonzero, so that a zero cochain builds no table.
+        if support and (support < 0 or support >> len(cx.index(degree))):
+            raise ValueError(f"support is not a bitset over the degree-{degree} table")
         self.cx = cx
         self.degree = degree
         self.support = support
@@ -133,19 +135,6 @@ def coboundary(c: F2Cochain) -> F2Cochain:
             parity[s] ^= 1
     # Highest simplex first: the parities read as a binary numeral are the support.
     return F2Cochain(cx, c.degree + 1, int(parity[::-1].translate(_BIT_CHARS), 2))
-
-
-def boundary(z: F2Chain) -> F2Chain:
-    """Sum of the nondegenerate faces of every simplex of z, over GF(2)."""
-    if z.degree < 1:
-        raise ValueError("boundary needs degree at least 1")
-    rows = z.cx.face_indices(z.degree)
-    out = 0
-    for s in _bits(z.support):
-        for f in rows[s]:
-            if f >= 0:
-                out ^= 1 << f
-    return F2Chain(z.cx, z.degree - 1, out)
 
 
 @lru_cache(maxsize=None)

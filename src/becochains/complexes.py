@@ -10,16 +10,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .perms import Perm, all_perms, ordered_pairs, pair_flags, project_pair
+from .perms import Perm, all_perms, ordered_pairs, pair_flags
 
 __all__ = [
     "Simplex",
-    "swap_count",
-    "in_filtration",
     "is_nondegenerate",
-    "faces",
     "ComplexIndex",
     "Complex",
     "get_complex",
@@ -35,47 +32,8 @@ SUPPORTED_T = (2, 3)
 MAX_ENUM_ARITY = 6
 
 
-def degree(s: Simplex) -> int:
-    return len(s) - 1
-
-
 def is_nondegenerate(s: Simplex) -> bool:
     return all(s[m] != s[m + 1] for m in range(len(s) - 1))
-
-
-def swap_count(s: Simplex, i: int, j: int) -> int:
-    """Number of adjacent levels across which labels i and j change order."""
-    if i == j:
-        raise ValueError("labels must be distinct")
-    flips = 0
-    prev = project_pair(s[0], i, j)
-    for level in s[1:]:
-        cur = project_pair(level, i, j)
-        if cur != prev:
-            flips += 1
-            prev = cur
-    return flips
-
-
-def in_filtration(s: Simplex, t: int) -> bool:
-    """True when every pair of labels swaps at most t-1 times along s."""
-    k = len(s[0])
-    limit = t - 1
-    return all(swap_count(s, i, j) <= limit for i, j in ordered_pairs(k))
-
-
-def faces(s: Simplex) -> List[Tuple[int, Optional[Simplex]]]:
-    """All codimension-1 faces (position, face), None marking a degenerate face."""
-    l = degree(s)
-    if l < 1:
-        raise ValueError("0-simplices have no faces here")
-    out: List[Tuple[int, Optional[Simplex]]] = []
-    for m in range(l + 1):
-        if 0 < m < l and s[m - 1] == s[m + 1]:
-            out.append((m, None))
-        else:
-            out.append((m, s[:m] + s[m + 1:]))
-    return out
 
 
 class _Walker:
@@ -154,12 +112,6 @@ class ComplexIndex:
             return self.pos[self.pack(s)]
         except KeyError:
             raise KeyError(f"simplex not in the table: {simplex_text(s)}") from None
-
-    def contains(self, s: Simplex) -> bool:
-        try:
-            return self.pack(s) in self.pos
-        except KeyError:
-            return False
 
     def simplices(self) -> List[Simplex]:
         return [self.unpack(c) for c in self.codes]
@@ -294,11 +246,6 @@ def count_by_degree(k: int, t: int, max_degree: int) -> List[int]:
         level = nxt
         counts.append(sum(level.values()))
     return [c * len(w.perms) for c in counts]
-
-
-def enumerate_complex(k: int, t: int, deg: int) -> ComplexIndex:
-    """All filtered nondegenerate strings of length deg+1, canonically ordered."""
-    return get_complex(k, t).index(deg)
 
 
 def simplex_from_text(text: str) -> Simplex:

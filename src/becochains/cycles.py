@@ -10,11 +10,11 @@ independent two-label blocks.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Sequence, Tuple
+from typing import FrozenSet, Tuple
 
 from .algebras import Word, arnold_basis
 from .cochains import F2Chain, F2Cochain, coboundary, cup, from_simplices, omega, pair
-from .complexes import Complex, Simplex, get_complex, is_nondegenerate
+from .complexes import Simplex, get_complex, is_nondegenerate
 from .gf2 import BitMatrix
 from .perms import Perm, act, block_substitute
 
@@ -29,13 +29,9 @@ __all__ = [
     "t_cycle",
     "gamma_gamma",
     "h2_cycle_table",
-    "h2_cycles",
-    "to_chain",
     "omega_product",
     "pairing_matrix",
     "class_of_cocycle",
-    "is_two_block_cycle",
-    "is_satellite_cycle",
 ]
 
 Chain = FrozenSet[Simplex]
@@ -138,31 +134,20 @@ def h2_cycle_table() -> Tuple[Tuple[Word, Chain], ...]:
     return tuple(table)
 
 
-def h2_cycles() -> Tuple[Chain, ...]:
-    return tuple(ch for _, ch in h2_cycle_table())
-
-
-def to_chain(cx: Complex, ch: Chain) -> F2Chain:
-    """View a raw chain inside a filtered complex; every simplex must lie in it."""
-    if not ch:
-        raise ValueError("empty chain has no well-defined degree")
-    return from_simplices(cx, ch)
-
-
 @lru_cache(maxsize=None)
 def _cycle_chains() -> Tuple[F2Chain, ...]:
     """The 11 cycles as chains of the arity-4 complex, in quadratic basis order."""
     cx = get_complex(4, 2)
-    return tuple(to_chain(cx, ch) for ch in h2_cycles())
+    return tuple(from_simplices(cx, ch) for _, ch in h2_cycle_table())
 
 
-def omega_product(monomial: Word, k: int = 4) -> F2Cochain:
-    """Cup product of the pullback cocycles along one admissible monomial."""
+def omega_product(monomial: Word) -> F2Cochain:
+    """Cup product of the pullback cocycles along one admissible monomial of arity 4."""
     if not monomial:
         raise ValueError("need at least one factor")
-    out = omega(k, *monomial[0])
+    out = omega(4, *monomial[0])
     for i, j in monomial[1:]:
-        out = cup(out, omega(k, i, j))
+        out = cup(out, omega(4, i, j))
     return out
 
 
@@ -204,44 +189,3 @@ def class_of_cocycle(c: F2Cochain) -> FrozenSet[Word]:
     basis = arnold_basis(4, 2)
     return frozenset(basis[r] for r, z in enumerate(_dual_cycle_chains()) if pair(c, z))
 
-
-def is_two_block_cycle(ch: Chain) -> bool:
-    """Two fixed pairs of labels, one per position block, one block swapping per step."""
-    sims = list(ch)
-    if not sims:
-        return False
-    first = sims[0][0]
-    s1, s2 = frozenset(first[:2]), frozenset(first[2:])
-    for s in sims:
-        for level in s:
-            if frozenset(level[:2]) != s1 or frozenset(level[2:]) != s2:
-                return False
-        for u, v in zip(s, s[1:]):
-            swaps = (u[:2] != v[:2]) + (u[2:] != v[2:])
-            if swaps != 1:
-                return False
-    return True
-
-
-def _triple_step_ok(u: Sequence[int], v: Sequence[int]) -> bool:
-    """One step of the satellite block: an adjacent swap or a full rotation."""
-    u, v = tuple(u), tuple(v)
-    if v in ((u[1], u[0], u[2]), (u[0], u[2], u[1])):
-        return True
-    return v in ((u[1], u[2], u[0]), (u[2], u[0], u[1]))
-
-
-def is_satellite_cycle(ch: Chain) -> bool:
-    """One label parked last everywhere; the other three move by swaps and jumps."""
-    sims = list(ch)
-    if not sims:
-        return False
-    parked = sims[0][0][-1]
-    for s in sims:
-        for level in s:
-            if level[-1] != parked:
-                return False
-        for u, v in zip(s, s[1:]):
-            if not _triple_step_ok(u[:3], v[:3]):
-                return False
-    return True

