@@ -8,9 +8,12 @@ the canonical order (lexicographic on concatenated one-line words).
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from typing import Dict, List, Tuple
+from itertools import chain, compress, repeat
+from operator import and_, getitem, itemgetter, lshift, or_
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .perms import Perm, all_perms, ordered_pairs, pair_flags
 
@@ -73,7 +76,8 @@ class _Walker:
 class ComplexIndex:
     """Canonically ordered table of the filtered nondegenerate simplices of one degree."""
 
-    def __init__(self, k: int, t: int, deg: int, perms: Tuple[Perm, ...], bits: int, codes: List[int]):
+    def __init__(self, k: int, t: int, deg: int, perms: Tuple[Perm, ...], bits: int,
+                 codes: List[int], ids: List[int]):
         self.k = k
         self.t = t
         self.degree = deg
@@ -81,11 +85,12 @@ class ComplexIndex:
         self.bits = bits
         self.codes = codes
         self._perm_index = {p: i for i, p in enumerate(perms)}
+        self._ids = ids
 
     @cached_property
     def pos(self) -> Dict[int, int]:
         """Code -> index, built on the first lookup."""
-        return dict(zip(self.codes, range(len(self.codes))))
+        return dict(zip(self.codes, _grown(self._ids, len(self.codes))))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -111,7 +116,7 @@ class ComplexIndex:
         try:
             return self.pos[self.pack(s)]
         except KeyError:
-            raise KeyError(f"simplex not in the table: {simplex_text(s)}") from None
+            raise ValueError(f"simplex not in the table: {simplex_text(s)}") from None
 
     def simplices(self) -> List[Simplex]:
         return [self.unpack(c) for c in self.codes]
@@ -127,15 +132,20 @@ class Complex:
         self.perms = self._walker.perms
         self.bits = max(1, (len(self.perms) - 1).bit_length())
         self.top_degree = (t - 1) * (k * (k - 1) // 2)
+        # Index ints 0, 1, 2, ... shared by the position maps, face tables and
+        # front/back lists, so that each index is one int object wherever it is held.
+        self._ids: List[int] = []
         self._tables: Dict[int, ComplexIndex] = {0: self._table(0, list(range(len(self.perms))))}
         self._built_to = 0
         # Walker keys of the highest built table, one per simplex, for the next extension.
         self._frontier: List[_Key] = self._walker.starts
+        # Per degree d >= 1: how many children in table d each simplex of table d-1 has.
+        self._children: Dict[int, array] = {}
         self._face_idx: Dict[int, List[Tuple[int, ...]]] = {}
-        self._front_back: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+        self._iterated: Dict[Tuple[int, int, int], List[int]] = {}
 
     def _table(self, deg: int, codes: List[int]) -> ComplexIndex:
-        return ComplexIndex(self.k, self.t, deg, self.perms, self.bits, codes)
+        return ComplexIndex(self.k, self.t, deg, self.perms, self.bits, codes, self._ids)
 
     def index(self, deg: int) -> ComplexIndex:
         """The canonical table for one degree, enumerating on first use.
@@ -160,58 +170,102 @@ class Complex:
         """
         # Many strings share a key; the memo lives for this build only.
         step = lru_cache(maxsize=None)(self._walker.step)
-        bits = self.bits
         for deg in range(self._built_to + 1, up_to + 1):
-            codes: List[int] = []
-            keys: List[_Key] = []
-            for code, key in zip(self._tables[deg - 1].codes, self._frontier):
-                nexts, next_keys = step(key)
-                base = code << bits
-                codes += [base | n for n in nexts]
-                keys += next_keys
+            steps = list(map(step, self._frontier))
+            self._children[deg] = array("H", map(len, map(itemgetter(0), steps)))
+            bases = map(lshift, self._tables[deg - 1].codes, repeat(self.bits))
+            levels = chain.from_iterable(map(itemgetter(0), steps))
+            codes = list(map(or_, self._per_child(deg, self._with_children(deg, bases)), levels))
             self._tables[deg] = self._table(deg, codes)
-            self._frontier = keys
+            self._frontier = list(chain.from_iterable(map(itemgetter(1), steps)))
             self._built_to = deg
 
     def face_indices(self, deg: int) -> List[Tuple[int, ...]]:
         """For each degree-deg simplex, its face index per position (-1 if degenerate)."""
+        if deg < 1:
+            raise ValueError("faces need a degree of at least 1")
         if deg not in self._face_idx:
-            codes = self.index(deg).codes
-            pos = self.index(deg - 1).pos
-            bits = self.bits
-            level = (1 << bits) - 1
-            cols = []
-            for m in range(deg + 1):
-                # Delete level m: keep the levels above it, shifted down, and those below.
-                shift = bits * (deg - m)
-                above = shift + bits
-                below = (1 << shift) - 1
-                if 0 < m < deg:
-                    # The face is degenerate when the neighbours of level m are equal.
-                    cols.append([
-                        pos[(c >> above << shift) | (c & below)]
-                        if (c >> above ^ c >> shift - bits) & level else -1
-                        for c in codes
-                    ])
-                else:
-                    cols.append([pos[(c >> above << shift) | (c & below)] for c in codes])
-            self._face_idx[deg] = list(zip(*cols))
+            self._face_idx[deg] = list(self._faces(deg)) if deg <= self.top_degree else []
         return self._face_idx[deg]
+
+    def _faces(self, deg: int) -> Iterator[Tuple[int, ...]]:
+        """The rows of face_indices(deg), from those of the degree below.
+
+        A simplex is the extension (x, n) of its parent x by a last level n.
+        Its last face is x, and for m < deg its face m is (d_m x, n), read
+        off the slot table of the degree below: no face code is rebuilt and
+        no position map is read.
+        """
+        lasts = self._last_levels(deg)  # builds the table and its child counts
+        ids = _grown(self._ids, len(self.index(deg - 1)))
+        parents = self._per_child(deg, self._with_children(deg, ids))
+        if deg == 1:
+            return zip(lasts, parents)
+        # Degree-1 faces are cheap to rebuild, so the recursion leaves them uncached.
+        below = self.face_indices(deg - 1) if deg > 2 else self._faces(1)
+        below = list(self._with_children(deg, below))
+        slots = self._slots(deg - 1).__getitem__
+        # A degenerate d_m x (-1) reads the trailing row of -1s.
+        cols = [map(getitem, self._per_child(deg, map(slots, map(itemgetter(m), below))), lasts)
+                for m in range(deg)]
+        return zip(*cols, parents)
+
+    def _last_levels(self, deg: int) -> List[int]:
+        return list(map(and_, self.index(deg).codes, repeat((1 << self.bits) - 1)))
+
+    def _with_children(self, deg: int, values: Iterable) -> Iterator:
+        """Of values, one per simplex of table deg-1, those of the simplices with children."""
+        return compress(values, self._children[deg])
+
+    def _per_child(self, deg: int, values: Iterable) -> Iterator:
+        """Of values, one per simplex of table deg-1 with children, each once per child."""
+        return chain.from_iterable(map(repeat, values, filter(None, self._children[deg])))
+
+    def _slots(self, deg: int) -> List[List[int]]:
+        """Row i, entry n: the degree-deg simplex that extends simplex i below by level n, or -1.
+
+        A simplex without children, and the trailing row, share one row of -1s.
+        """
+        none = [-1] * (1 << self.bits)
+        rows = [[-1] * len(none) if c else none for c in self._children[deg]]
+        rows.append(none)
+        parent_rows = self._per_child(deg, self._with_children(deg, rows))
+        ids = _grown(self._ids, len(self.index(deg)))
+        for row, n, i in zip(parent_rows, self._last_levels(deg), ids):
+            row[n] = i
+        return rows
 
     def front_back(self, p: int, q: int) -> Tuple[List[int], List[int]]:
         """Front p-face and back q-face indices for every degree p+q simplex."""
-        key = (p, q)
-        if key not in self._front_back:
-            codes = self.index(p + q).codes
-            fronts = self.index(p).pos
-            backs = self.index(q).pos
-            shift = self.bits * q
-            back_mask = (1 << (shift + self.bits)) - 1
-            self._front_back[key] = (
-                [fronts[c >> shift] for c in codes],
-                [backs[c & back_mask] for c in codes],
-            )
-        return self._front_back[key]
+        if p < 0 or q < 0:
+            raise ValueError("degree must be non-negative")
+        if p + q > self.top_degree:
+            return [], []
+        return self._iterated_face(p + q, q, -1), self._iterated_face(p + q, p, 0)
+
+    def _iterated_face(self, deg: int, times: int, m: int) -> List[int]:
+        """Face m (0 or -1, the last) applied `times` times to every degree-deg simplex.
+
+        Each step is cached, so every (p, q) with one p + q shares them.
+        """
+        key = (deg, times, m)
+        if key not in self._iterated:
+            if times == 0:
+                n = len(self.index(deg))
+                self._iterated[key] = _grown(self._ids, n)[:n]
+            else:
+                col = list(map(itemgetter(m), self.face_indices(deg - times + 1)))
+                if times > 1:
+                    col = list(map(col.__getitem__, self._iterated_face(deg, times - 1, m)))
+                self._iterated[key] = col
+        return self._iterated[key]
+
+
+def _grown(ids: List[int], n: int) -> List[int]:
+    """The shared index ints, extended in place to hold at least 0..n-1."""
+    if len(ids) < n:
+        ids.extend(range(len(ids), n))
+    return ids
 
 
 _COMPLEXES: Dict[Tuple[int, int], Complex] = {}

@@ -25,6 +25,7 @@ from .algebras import (
     hochschild_d,
     tau,
     w_basis,
+    word_text,
 )
 from .cochains import (
     F2Cochain,
@@ -208,6 +209,19 @@ def _cap(a: Pair, h: Word) -> List[Word]:
     return [x for x in arnold_basis(4, len(h) - 1) if h in arnold_normalize(x + (a,))]
 
 
+def _check_dual(z: DualElt, level: Optional[int] = None):
+    """Each summand must be a W basis word and an Arnold basis monomial of its level."""
+    for word, h in z:
+        n = len(word) - 1
+        if level is not None and n != level:
+            raise ValueError(f"expected a level-{level} word: {word_text('B', word)}")
+        # The monomial first: none has degree above 3, so no large W basis is built.
+        if n < 0 or h not in arnold_basis(4, n):
+            raise ValueError(f"not an Arnold basis monomial of degree {n}: {word_text('A', h)}")
+        if word not in w_basis(4, n):
+            raise ValueError(f"not a W basis word of arity 4: {word_text('B', word)}")
+
+
 def dual_d(z: DualElt) -> DualElt:
     """Differential of the dual complex W (x) H-dual.
 
@@ -215,6 +229,7 @@ def dual_d(z: DualElt) -> DualElt:
     caps it into the homology factor; the second coproduct piece contributes
     with its tensor factors interchanged.
     """
+    _check_dual(z)
     acc: set = set()
     for word, h in z:
         n = len(word)
@@ -248,6 +263,7 @@ def beta() -> DualElt:
 def pair_alpha_beta(a: HomWH, b: DualElt) -> int:
     """Sum over summands w (x) h of the h-coefficient of a(w)."""
     _check_hom(a, 2, 2)
+    _check_dual(b, 2)
     return sum(h in a.apply(word) for word, h in b) & 1
 
 

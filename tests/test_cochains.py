@@ -280,6 +280,16 @@ def test_cochain_text_roundtrip():
     assert cochain_text(parse_cochain(cx, text)) == text
 
 
+def test_simplex_outside_the_table_is_a_value_error():
+    cx = get_complex(2, 2)
+    # 12|21|12 swaps the labels twice, past the complexity-2 budget.
+    for text in ("12|21|12", "12|12", "123"):
+        with pytest.raises(ValueError, match="not in the table"):
+            parse_cochain(cx, text)
+        with pytest.raises(ValueError, match="not in the table"):
+            from_simplices(cx, [simplex_from_text(text)])
+
+
 def test_mismatched_ambient_raises():
     with pytest.raises(ValueError):
         omega(3, 1, 2) + omega(4, 1, 2)

@@ -1,5 +1,7 @@
 """Filtered complexes of permutation strings: enumeration, faces, actions."""
 
+from functools import lru_cache
+
 import pytest
 
 from becochains.complexes import (
@@ -92,6 +94,7 @@ def test_group_action_preserves_tables():
         assert relabeled == sims
 
 
+@lru_cache(maxsize=None)
 def _brute_force_tables(k, t, top):
     """Every filtered nondegenerate string of degree 0..top, sorted per degree.
 
@@ -127,6 +130,38 @@ def test_tables_match_brute_force_references(k, t, top):
             fronts, backs = cx.front_back(p, d - p)
             assert fronts == [cx.index(p).index_of(s[: p + 1]) for s in sims]
             assert backs == [cx.index(d - p).index_of(s[p:]) for s in sims]
+
+
+def test_face_and_front_back_tables_in_any_order():
+    """Tables asked for top-down, at the edges and above the top, against the references."""
+    cx = Complex(4, 2)
+    top = cx.top_degree
+    front_back_2_3 = cx.front_back(2, 3)
+    faces_5 = cx.face_indices(5)
+    faces_of = {d: cx.face_indices(d) for d in range(1, top + 2)}
+    front_back_of = {
+        (p, d - p): cx.front_back(p, d - p) for d in range(top + 2) for p in range(d + 1)
+    }
+    # Neither table reads a position map.
+    assert not any("pos" in vars(cx.index(d)) for d in range(top + 2))
+    assert faces_of[5] is faces_5
+    assert front_back_of[(2, 3)] == front_back_2_3
+    assert faces_of[top + 1] == []
+    assert front_back_of[(0, top + 1)] == front_back_of[(top, 1)] == ([], [])
+    assert cx.front_back(top + 1, 2) == ([], [])
+    with pytest.raises(ValueError):
+        cx.face_indices(0)
+    tables = _brute_force_tables(4, 2, top)
+    at = [{s: i for i, s in enumerate(sims)} for sims in tables]
+    for d in range(1, top + 1):
+        expected = [[-1 if f is None else at[d - 1][f] for _, f in faces(s)] for s in tables[d]]
+        assert [list(row) for row in faces_of[d]] == expected
+    for d, sims in enumerate(tables):
+        for p in range(d + 1):
+            assert front_back_of[(p, d - p)] == (
+                [at[p][s[: p + 1]] for s in sims],
+                [at[d - p][s[p:]] for s in sims],
+            )
 
 
 def test_tables_extend_in_place():
@@ -177,6 +212,12 @@ def test_index_roundtrip():
     idx = get_complex(4, 2).index(1)
     for i in (0, 1, 5, 100, len(idx) - 1):
         assert idx.index_of(idx.simplex(i)) == i
+
+
+def test_index_of_a_simplex_outside_the_table_raises():
+    idx = get_complex(2, 2).index(2)
+    with pytest.raises(ValueError, match=r"12\|21\|12"):
+        idx.index_of(simplex_from_text("12|21|12"))
 
 
 def test_simplex_text_roundtrip():

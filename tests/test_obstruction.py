@@ -329,6 +329,29 @@ def test_dual_d_summand_displays():
     assert total == frozenset()
 
 
+def test_dual_elements_outside_the_bases_are_rejected():
+    a = alpha_hom()
+    cases = [
+        # label 5 at arity 4, in the word and the monomial or in the word alone
+        (W("B12.B25.B15"), W("A12.A15"), "Arnold basis monomial"),
+        (W("B12.B25.B15"), W("A12.A14"), "W basis word"),
+        # a level-2 word pairs with a degree-2 monomial
+        (W("B12.B23.B13"), W("A12"), "Arnold basis monomial"),
+    ]
+    for word, h, message in cases:
+        z = frozenset({(word, h)})
+        with pytest.raises(ValueError, match=message):
+            dual_d(z)
+        with pytest.raises(ValueError, match=message):
+            pair_alpha_beta(a, z)
+    # Level-1 summands are valid for dual_d, whose values then carry the empty monomial.
+    for w in w_basis(4, 1):
+        for h in arnold_basis(4, 1):
+            assert all(len(u) == 1 and x == () for u, x in dual_d(frozenset({(w, h)})))
+    with pytest.raises(ValueError, match="level-2"):
+        pair_alpha_beta(a, frozenset({(W("B12.B23"), W("A14"))}))
+
+
 def test_dual_beta_is_a_cycle():
     assert dual_d(beta()) == frozenset()
 
