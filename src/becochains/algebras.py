@@ -229,7 +229,10 @@ class HomWH:
 
     def apply(self, w: Word) -> Element:
         basis = arnold_basis(self.k, self.qdeg)
-        row = self.rows[_w_index(self.k, self.level)[w]]
+        try:
+            row = self.rows[_w_index(self.k, self.level)[w]]
+        except KeyError:
+            raise ValueError(f"not a level-{self.level} W basis word: {word_text('B', w)}") from None
         return frozenset(basis[i] for i in _bits(row))
 
     def __add__(self, other: "HomWH") -> "HomWH":

@@ -8,12 +8,12 @@ distinction is semantic (pairing treats one argument as each).
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import or_
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import and_, getitem, or_
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import Complex, Simplex, get_complex, simplex_from_text, simplex_text
 from .gf2 import BitMatrix, _bits
-from .perms import project_pair, project_triple
+from .perms import Perm, project_pair, project_triple
 
 __all__ = [
     "F2Cochain",
@@ -104,8 +104,14 @@ def from_simplices(cx: Complex, simplices: Iterable[Simplex]) -> F2Cochain:
     return F2Cochain(cx, deg, reduce(or_, (1 << tbl.index_of(s) for s in sims)))
 
 
-# Maps a 0/1 byte to the ASCII digit, to read a bytearray of parities as a numeral.
+# Maps a 0/1 byte to the ASCII digit, to read a bytearray of flags as a numeral.
 _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bitset(flags: bytearray) -> int:
+    """The int whose bit i is flags[i], each flag 0 or 1."""
+    # Highest index first: the flags read as a binary numeral are the bitset.
+    return int(flags[::-1].translate(_BIT_CHARS) or b"0", 2)
 
 
 @lru_cache(maxsize=None)
@@ -133,8 +139,7 @@ def coboundary(c: F2Cochain) -> F2Cochain:
     for f in _bits(c.support):
         for s in cols[f]:
             parity[s] ^= 1
-    # Highest simplex first: the parities read as a binary numeral are the support.
-    return F2Cochain(cx, c.degree + 1, int(parity[::-1].translate(_BIT_CHARS), 2))
+    return F2Cochain(cx, c.degree + 1, _bitset(parity))
 
 
 @lru_cache(maxsize=None)
@@ -179,14 +184,29 @@ def cup1(a: F2Cochain, b: F2Cochain) -> F2Cochain:
     return F2Cochain(a.cx, 1, a.support & b.support)
 
 
-def _projector(tag: Sequence[int]):
+def _projector(tag: Sequence[int]) -> Callable[[Perm], Perm]:
     if len(tag) == 2:
         i, j = tag
-        return lambda p: project_pair(p, i, j), 2
+        return lambda p: project_pair(p, i, j)
     if len(tag) == 3:
         labels = tuple(tag)
-        return lambda p: project_triple(p, labels), 3
+        return lambda p: project_triple(p, labels)
     raise ValueError("projection tag must be a pair or a triple of labels")
+
+
+@lru_cache(maxsize=None)
+def _level_masks(cx: Complex, deg: int) -> List[List[int]]:
+    """masks[m][a]: the degree-deg simplices whose level m is cx.perms[a]."""
+    codes = cx.index(deg).codes
+    low = (1 << cx.bits) - 1
+    masks = []
+    for m in range(deg + 1):
+        shift = cx.bits * (deg - m)
+        flags = [bytearray(len(codes)) for _ in cx.perms]
+        for s, code in enumerate(codes):
+            flags[code >> shift & low][s] = 1
+        masks.append(list(map(_bitset, flags)))
+    return masks
 
 
 def pullback(target: Complex, tag: Sequence[int], c: F2Cochain) -> F2Cochain:
@@ -196,24 +216,23 @@ def pullback(target: Complex, tag: Sequence[int], c: F2Cochain) -> F2Cochain:
     three labels, projecting to arity 3. The source cochain c lives on the
     smaller complex with the same complexity.
     """
-    fn, src_arity = _projector(tag)
-    if c.cx.k != src_arity:
-        raise ValueError(f"pullback source must have arity {src_arity}")
+    project = _projector(tag)
+    if c.cx.k != len(tag):
+        raise ValueError(f"pullback source must have arity {len(tag)}")
     if c.cx.t != target.t:
         raise ValueError("complexity mismatch")
-    deg = c.degree
-    tbl = target.index(deg)
-    src_tbl = c.cx.index(deg)
-    supp = c.support
-    out = 0
-    for s_idx, code in enumerate(tbl.codes):
-        sim = tbl.unpack(code)
-        img = tuple(fn(p) for p in sim)
-        if any(img[m] == img[m + 1] for m in range(deg)):
-            continue
-        if supp >> src_tbl.pos[src_tbl.pack(img)] & 1:
-            out |= 1 << s_idx
-    return F2Cochain(target, deg, out)
+    # Projecting every target level once also checks the labels against the target arity.
+    images = [project(p) for p in target.perms]
+    # pulled[m][q]: the target simplices whose level m projects to q.
+    pulled = []
+    for row in _level_masks(target, c.degree):
+        by_image = dict.fromkeys(c.cx.perms, 0)
+        for q, mask in zip(images, row):
+            by_image[q] |= mask
+        pulled.append(by_image)
+    # A target simplex lies in the AND for sigma exactly when its image is sigma.
+    out = reduce(or_, (reduce(and_, map(getitem, pulled, sigma)) for sigma in c.simplices()), 0)
+    return F2Cochain(target, c.degree, out)
 
 
 @lru_cache(maxsize=None)

@@ -55,6 +55,16 @@ def in_filtration(s, t):
     return all(swap_count(s, i, j) <= t - 1 for i in range(1, k + 1) for j in range(i + 1, k + 1))
 
 
+def project(p, tag):
+    """The pattern of the tag's labels in the word of p: label tag[s] reads s + 1.
+
+    The other labels are dropped, so a pair tag (i, j) gives 12 when i comes
+    before j and 21 otherwise.
+    """
+    slot = {label: s for s, label in enumerate(tag, start=1)}
+    return tuple(slot[v] for v in p if v in slot)
+
+
 def faces(s):
     """All codimension-1 faces (position, face), None marking a degenerate face."""
     out = []

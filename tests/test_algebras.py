@@ -215,6 +215,16 @@ def test_tau_is_identity_on_generators():
         assert t.apply(w) == frozenset({w})
 
 
+def test_apply_rejects_a_word_outside_the_level_basis():
+    # a level-1 word, a pair out of order and a label past the arity
+    for w in (((1, 2), (1, 3)), ((2, 1),), ((1, 5),)):
+        with pytest.raises(ValueError, match="not a level-0 W basis word"):
+            tau(4).apply(w)
+    zero_map = HomWH(4, 2, 3, [0] * len(w_basis(4, 2)))
+    with pytest.raises(ValueError, match="B12.B12.B13.B14"):
+        zero_map.apply(((1, 2), (1, 2), (1, 3), (1, 4)))
+
+
 def test_tau_convolution_square_vanishes():
     t = tau(4)
     assert convolution(t, t).is_zero()

@@ -1,6 +1,7 @@
 """Normalized cochains: coboundary, cup and cup-1 products, pullbacks, pairing."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -23,7 +24,7 @@ from becochains.cochains import (
 )
 from becochains.complexes import Complex, get_complex, simplex_from_text
 from becochains.gf2 import rank
-from reference import boundary, faces, mat_vec
+from reference import boundary, faces, mat_vec, project
 
 
 def cochain(cx, text):
@@ -222,6 +223,54 @@ def test_front_and_back_images_match_pointwise_references_seeded():
             for s_idx, s in enumerate(target):
                 assert front >> s_idx & 1 == a.support >> fronts.index_of(s[:p + 1]) & 1
                 assert back >> s_idx & 1 == b.support >> backs.index_of(s[p:]) & 1
+
+
+def reference_pullback(target, tag, c):
+    """Support of the pullback: the target simplices whose levelwise image lies in c."""
+    support = set(c.simplices())
+    image = {p: project(p, tag) for p in permutations(range(1, target.k + 1))}
+    out = 0
+    for s_idx, s in enumerate(target.index(c.degree).simplices()):
+        if tuple(map(image.__getitem__, s)) in support:
+            out |= 1 << s_idx
+    return out
+
+
+@pytest.mark.parametrize("t, top", [(2, 6), (3, 2)])
+def test_pullback_matches_pointwise_reference_seeded(t, top):
+    """Every degree into (4, 2); degrees 0-2 into (4, 3). No table builds a position map."""
+    rng = random.Random(900 + t)
+    target = Complex(4, t)
+    sources = {2: Complex(2, t), 3: Complex(3, t)}
+    tags = {2: ((1, 2), (4, 1), (2, 3)), 3: ((1, 2, 3), (4, 2, 1), (2, 4, 3))}
+    for k, src in sources.items():
+        for deg in range(top + 1):
+            for tag in tags[k]:
+                for density in (0.1, 0.6):
+                    c = random_cochain(rng, src, deg, density)
+                    got = pullback(target, tag, c)
+                    assert (got.cx, got.degree) == (target, deg)
+                    assert got.support == reference_pullback(target, tag, c), (k, deg, tag, density)
+    for cx in (target, *sources.values()):
+        assert not any("pos" in vars(cx.index(d)) for d in range(top + 1))
+
+
+def test_pullback_rejects_bad_tags_and_sources():
+    cx2, cx4 = get_complex(2, 2), get_complex(4, 2)
+    c2, c3 = omega(2, 1, 2), ar()
+    # A tag is checked even when the target table is empty.
+    empty = zero(cx2, cx4.top_degree + 1)
+    for tag, c in (((1, 1), c2), ((2, 5), c2), ((1, 2, 1), c3), ((1, 2, 5), c3),
+                   ((0, 1), empty), ((1, 2, 3, 4), c3)):
+        with pytest.raises(ValueError):
+            pullback(cx4, tag, c)
+    with pytest.raises(ValueError, match="arity 2"):
+        pullback(cx4, (1, 2), c3)
+    with pytest.raises(ValueError, match="arity 3"):
+        pullback(cx4, (1, 2, 3), c2)
+    with pytest.raises(ValueError, match="complexity"):
+        pullback(get_complex(4, 3), (1, 2, 3), c3)
+    assert not pullback(cx4, (1, 2), empty)
 
 
 def test_constructor_takes_int_supports_only():
