@@ -10,7 +10,7 @@ verdict. Everything is exact arithmetic over the field with two elements.
 __version__ = "0.1.0"
 
 from .gf2 import BitMatrix, rank, rowspace_basis, solve
-from .perms import all_perms, act, project_pair, project_triple
+from .perms import all_perms, act, project
 from .complexes import Complex, count_by_degree, get_complex
 from .cochains import (
     F2Chain,
@@ -56,7 +56,6 @@ from .cycles import (
     t_cycle,
 )
 from .obstruction import (
-    alpha,
     alpha_hom,
     beta,
     dual_d,
@@ -74,7 +73,7 @@ from .obstruction import (
 __all__ = [
     "__version__",
     "BitMatrix", "rank", "rowspace_basis", "solve",
-    "all_perms", "act", "project_pair", "project_triple",
+    "all_perms", "act", "project",
     "Complex", "count_by_degree", "get_complex",
     "F2Chain", "F2Cochain", "ar", "coboundary", "coboundary_matrix",
     "cochain_text", "cup", "cup1", "from_simplices", "omega", "pair",
@@ -84,7 +83,7 @@ __all__ = [
     "parse_word", "tau", "w_basis", "word_text", "yb_basis", "yb_normalize",
     "class_of_cocycle", "gamma", "gamma_gamma", "h2_cycle_table",
     "mult", "circ", "omega_product", "pairing_matrix", "t_cycle",
-    "alpha", "alpha_hom", "beta", "dual_d", "gauge_shift", "hochschild_matrix",
+    "alpha_hom", "beta", "dual_d", "gauge_shift", "hochschild_matrix",
     "is_coboundary", "pair_alpha_beta", "phi0", "phi1", "phi_d", "random_gauge",
     "triangle",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .gf2 import _bits
 
@@ -215,18 +215,6 @@ class HomWH:
             raise ValueError(f"expected {expected} rows, got {len(rows)}")
         self.rows = tuple(rows)
 
-    @classmethod
-    def from_map(cls, k: int, level: int, qdeg: int, fn: Callable[[Word], Iterable[Word]]) -> "HomWH":
-        basis = arnold_basis(k, qdeg)
-        col = {m: c for c, m in enumerate(basis)}
-        rows = []
-        for w in w_basis(k, level):
-            r = 0
-            for m in fn(w):
-                r ^= 1 << col[m]
-            rows.append(r)
-        return cls(k, level, qdeg, rows)
-
     def apply(self, w: Word) -> Element:
         basis = arnold_basis(self.k, self.qdeg)
         try:
@@ -265,7 +253,8 @@ def _w_index(k: int, level: int) -> Dict[Word, int]:
 @lru_cache(maxsize=None)
 def tau(k: int = 4) -> HomWH:
     """The twisting cochain: length-1 dual generators to the matching Arnold class."""
-    return HomWH.from_map(k, 0, 1, lambda w: [w])
+    col = {m: c for c, m in enumerate(arnold_basis(k, 1))}
+    return HomWH(k, 0, 1, [1 << col[w] for w in w_basis(k, 0)])
 
 
 @lru_cache(maxsize=None)
@@ -323,4 +312,7 @@ def parse_word(text: str) -> Tuple[str, Word]:
 def word_text(kind: str, word: Word) -> str:
     if kind not in ("A", "B"):
         raise ValueError("kind must be 'A' or 'B'")
-    return ".".join(f"{kind}{i}{j}" for i, j in word)
+    try:
+        return ".".join(f"{kind}{i:d}{j:d}" for i, j in word)
+    except (TypeError, ValueError):
+        raise ValueError(f"not a word of label pairs: {word!r}") from None

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import and_, getitem, or_
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import Complex, Simplex, get_complex, simplex_from_text, simplex_text
 from .gf2 import BitMatrix, _bits
-from .perms import Perm, project_pair, project_triple
+from .perms import project
 
 __all__ = [
     "F2Cochain",
@@ -184,16 +184,6 @@ def cup1(a: F2Cochain, b: F2Cochain) -> F2Cochain:
     return F2Cochain(a.cx, 1, a.support & b.support)
 
 
-def _projector(tag: Sequence[int]) -> Callable[[Perm], Perm]:
-    if len(tag) == 2:
-        i, j = tag
-        return lambda p: project_pair(p, i, j)
-    if len(tag) == 3:
-        labels = tuple(tag)
-        return lambda p: project_triple(p, labels)
-    raise ValueError("projection tag must be a pair or a triple of labels")
-
-
 @lru_cache(maxsize=None)
 def _level_masks(cx: Complex, deg: int) -> List[List[int]]:
     """masks[m][a]: the degree-deg simplices whose level m is cx.perms[a]."""
@@ -216,13 +206,14 @@ def pullback(target: Complex, tag: Sequence[int], c: F2Cochain) -> F2Cochain:
     three labels, projecting to arity 3. The source cochain c lives on the
     smaller complex with the same complexity.
     """
-    project = _projector(tag)
+    if len(tag) not in (2, 3):
+        raise ValueError("projection tag must be a pair or a triple of labels")
     if c.cx.k != len(tag):
         raise ValueError(f"pullback source must have arity {len(tag)}")
     if c.cx.t != target.t:
         raise ValueError("complexity mismatch")
     # Projecting every target level once also checks the labels against the target arity.
-    images = [project(p) for p in target.perms]
+    images = [project(p, tag) for p in target.perms]
     # pulled[m][q]: the target simplices whose level m projects to q.
     pulled = []
     for row in _level_masks(target, c.degree):

@@ -176,16 +176,20 @@ def _dual_cycle_chains() -> Tuple[F2Chain, ...]:
     return _cycle_chains()
 
 
-def class_of_cocycle(c: F2Cochain) -> FrozenSet[Word]:
-    """Cohomology class of a degree-2 cocycle in the admissible basis.
+def _class_row(c: F2Cochain) -> int:
+    """Bit r: the pairing of c with the cycle dual to quadratic basis monomial r.
 
-    The pairing matrix M is the identity, so the class's coefficient vector x,
-    which satisfies M^T x = (pairings of c with the cycles), is the pairings.
+    On a degree-2 cocycle this is its class: the pairing matrix M is the
+    identity, so the coefficient vector x with M^T x = (the pairings) is the
+    pairings. Callers check that c is a cocycle.
     """
+    return sum(pair(c, z) << r for r, z in enumerate(_dual_cycle_chains()))
+
+
+def class_of_cocycle(c: F2Cochain) -> int:
+    """Cohomology class of a degree-2 cocycle as a bit row over the admissible basis."""
     if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
         raise ValueError("expected a degree-2 cochain of the arity-4 complex")
     if coboundary(c):
         raise ValueError("not a cocycle")
-    basis = arnold_basis(4, 2)
-    return frozenset(basis[r] for r, z in enumerate(_dual_cycle_chains()) if pair(c, z))
-
+    return _class_row(c)

@@ -39,8 +39,8 @@ from .cochains import (
     zero,
 )
 from .complexes import get_complex
-from .cycles import class_of_cocycle, omega_product
-from .gf2 import BitMatrix, rowspace_basis, solve
+from .cycles import _class_row, class_of_cocycle, omega_product
+from .gf2 import BitMatrix, _bits, rowspace_basis, solve
 
 __all__ = [
     "DualElt",
@@ -49,7 +49,6 @@ __all__ = [
     "phi0",
     "phi1",
     "phi_d",
-    "alpha",
     "alpha_hom",
     "hochschild_matrix",
     "is_coboundary",
@@ -151,15 +150,14 @@ def phi_d(w: Word) -> F2Cochain:
     return table[w]
 
 
-def alpha(w: Word) -> FrozenSet[Word]:
-    """Cohomology class of the error cocycle, in the admissible quadratic basis."""
-    return class_of_cocycle(phi_d(w))
-
-
 @lru_cache(maxsize=None)
 def alpha_hom() -> HomWH:
-    """alpha on all 90 level-2 generators as a Hom(W2, H2) element."""
-    return HomWH.from_map(4, 2, 2, alpha)
+    """The classes of the 90 error cocycles as a Hom(W2, H2) element.
+
+    Each row is read off the cycle pairings of phi_d(w), which is a class
+    only when phi_d(w) is a cocycle: the phi-d-cocycles check of obstruct.
+    """
+    return HomWH(4, 2, 2, [_class_row(phi_d(w)) for w in w_basis(4, 2)])
 
 
 def _packed(h: HomWH) -> int:
@@ -194,8 +192,7 @@ def hochschild_matrix() -> BitMatrix:
 def is_coboundary(a: HomWH) -> Optional[HomWH]:
     """Witness f with hochschild_d(f) = a, or None when no witness exists."""
     _check_hom(a, 2, 2)
-    if not hochschild_d(a).is_zero():
-        raise ValueError("input is not a cocycle of the convolution complex")
+    # d(d f) = 0, so a map that is not closed has no witness and the solve says so.
     x = solve(hochschild_matrix(), _packed(a))
     if x is None:
         return None
@@ -277,7 +274,7 @@ def gauge_shift(f: HomWH) -> HomWH:
     level1 = [reduce(F2Cochain.__add__, (omega(4, *m[0]) for m in f.apply(u)), phi1(u))
               for u in w_basis(4, 1)]
     cocycles = _phi_d_all(level1)
-    return HomWH.from_map(4, 2, 2, lambda w: class_of_cocycle(cocycles[w]))
+    return HomWH(4, 2, 2, [class_of_cocycle(cocycles[w]) for w in w_basis(4, 2)])
 
 
 def random_gauge(seed: int) -> HomWH:
@@ -294,21 +291,22 @@ def _im_d1_basis() -> Tuple[int, ...]:
     return tuple(rowspace_basis(m1.transpose()))
 
 
-def validates_class(c: F2Cochain, monomials: FrozenSet[Word]) -> bool:
-    """Independent check that [c] equals the span element named by monomials.
+def validates_class(c: F2Cochain, row: int) -> bool:
+    """Independent check that [c] is the class whose bit row over the quadratic basis is row.
 
-    Forms c + the product cocycles of the named monomials and tests
+    Forms c + the product cocycles of the row's monomials and tests
     membership in the coboundary space by reduction against its row basis.
     """
     if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
         raise ValueError("expected a degree-2 cochain of the arity-4 complex")
+    basis = arnold_basis(4, 2)
     acc = c
-    for m in monomials:
-        acc = acc + omega_product(m)
+    for r in _bits(row):
+        acc = acc + omega_product(basis[r])
     v = acc.support
-    for row in _im_d1_basis():
-        if v & (row & -row):
-            v ^= row
+    for pivot_row in _im_d1_basis():
+        if v & (pivot_row & -pivot_row):
+            v ^= pivot_row
     return v == 0
 
 
@@ -325,11 +323,10 @@ def triangle(a: Optional[HomWH] = None) -> Dict[str, bool]:
     _check_hom(a, 2, 2)
     closed = hochschild_d(a).is_zero()
     b = beta()
-    # A non-cocycle is never hit by the differential; the classes leg fails on it.
-    leg_solve = not closed or solve(hochschild_matrix(), _packed(a)) is None
+    leg_solve = is_coboundary(a) is None
     leg_pairing = (not dual_d(b)) and pair_alpha_beta(a, b) == 1
-    base = alpha_hom()
-    leg_classes = closed and all(validates_class(phi_d(w), base.apply(w)) for w in ANCHOR_WORDS)
+    base = dict(zip(w_basis(4, 2), alpha_hom().rows))
+    leg_classes = closed and all(validates_class(phi_d(w), base[w]) for w in ANCHOR_WORDS)
     return {
         "closed": closed,
         "solve": leg_solve,

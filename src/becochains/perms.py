@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from itertools import permutations as _permutations
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 __all__ = [
     "Perm",
     "all_perms",
     "act",
-    "project_pair",
-    "project_triple",
+    "project",
     "block_substitute",
     "perm_from_text",
     "perm_text",
@@ -45,32 +44,19 @@ def act(g: Perm, p: Perm) -> Perm:
     return tuple(g[x - 1] for x in p)
 
 
-def project_pair(p: Perm, i: int, j: int) -> Perm:
-    """(1,2) when label i precedes label j in the word of p, else (2,1)."""
-    k = len(p)
-    if i == j or not (1 <= i <= k) or not (1 <= j <= k):
-        raise ValueError(f"labels must be distinct and in 1..{k}")
-    for v in p:
-        if v == i:
-            return (1, 2)
-        if v == j:
-            return (2, 1)
-    raise ValueError(f"not a permutation word: {p}")
-
-
-def project_triple(p: Perm, labels: Tuple[int, int, int]) -> Perm:
-    """Relative order pattern of the three symbols (j1, j2, j3) inside p.
+def project(p: Perm, labels: Sequence[int]) -> Perm:
+    """Order pattern of distinct labels, such as a pair or a triple, inside p.
 
     Scanning the word of p, each occurrence of labels[s-1] contributes the
-    value s; the resulting arity-3 word is the pattern.
+    value s; the resulting word of arity len(labels) is the pattern.
     """
-    a, b, c = labels
-    if len({a, b, c}) != 3:
-        raise ValueError("labels must be distinct")
-    slot = {a: 1, b: 2, c: 3}
+    k = len(p)
+    if len(set(labels)) != len(labels) or not all(1 <= v <= k for v in labels):
+        raise ValueError(f"labels must be distinct and in 1..{k}")
+    slot = {v: s for s, v in enumerate(labels, 1)}
     out = tuple(slot[v] for v in p if v in slot)
-    if len(out) != 3:
-        raise ValueError("labels must occur in the permutation")
+    if len(out) != len(labels):
+        raise ValueError(f"not a permutation word: {p}")
     return out
 
 

@@ -1,5 +1,6 @@
 """Quadratic algebras in admissible bases, coproducts, and the convolution differential."""
 
+import re
 from itertools import product
 
 import pytest
@@ -223,6 +224,10 @@ def test_apply_rejects_a_word_outside_the_level_basis():
     zero_map = HomWH(4, 2, 3, [0] * len(w_basis(4, 2)))
     with pytest.raises(ValueError, match="B12.B12.B13.B14"):
         zero_map.apply(((1, 2), (1, 2), (1, 3), (1, 4)))
+    # a factor that is not a pair of labels is named in the message
+    for w in (((1, 2), 'x'), ((1, 2), (1, 2, 3)), ((1, 2), ('a', 'b'))):
+        with pytest.raises(ValueError, match=re.escape(repr(w))):
+            tau(4).apply(w)
 
 
 def test_tau_convolution_square_vanishes():

@@ -35,13 +35,23 @@ def test_dims_json_schema(capsys):
     assert payload["verdict"] == "PASS"
 
 
-def test_every_dims_count_has_a_reference():
-    from becochains.cli import DEGREE_CAPS, DERIVED_COUNTS, EXPECTED_COUNTS
+def test_every_dims_count_has_a_reference(capsys):
+    from becochains.cli import DERIVED_COUNTS, EXPECTED_COUNTS
 
-    for (k, t), cap in DEGREE_CAPS.items():
-        top = (t - 1) * k * (k - 1) // 2
-        covered = len(EXPECTED_COUNTS.get((k, t), [])) + len(DERIVED_COUNTS.get((k, t), []))
-        assert covered >= min(cap, top) + 1, (k, t)
+    assert not set(EXPECTED_COUNTS) & set(DERIVED_COUNTS)
+    for (k, t), reference in {**EXPECTED_COUNTS, **DERIVED_COUNTS}.items():
+        # no stored count lies past the top degree of its complex
+        assert len(reference) - 1 <= (t - 1) * k * (k - 1) // 2, (k, t)
+        # the default report checks every stored count, and no degree past them
+        code, out, _ = run(capsys, "dims", "--k", str(k), "--t", str(t), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"]["max_degree"] == len(reference) - 1
+        assert [c["computed"] for c in payload["checks"]] == reference, (k, t)
+        code, _, err = run(capsys, "dims", "--k", str(k), "--t", str(t),
+                           "--max-degree", str(len(reference)))
+        assert code == 2
+        assert "max degree out of range" in err
     assert DERIVED_COUNTS == {(5, 2): weak_order_counts(5, 4)}
 
 
@@ -186,3 +196,47 @@ def test_obstruct_gauge_seed_deterministic(capsys):
 def test_obstruct_negative_gauge_seed_usage_error(capsys):
     code, _, err = run(capsys, "obstruct", "--gauge-seed", "-3")
     assert code == 2
+
+
+def test_non_cocycle_error_cochain_is_inconclusive(capsys, monkeypatch):
+    from becochains import obstruction
+    from becochains.algebras import w_basis
+    from becochains.cochains import F2Cochain, coboundary
+
+    table = dict(obstruction._phi_d_table())
+    w = w_basis(4, 2)[-1]
+    table[w] = table[w] + F2Cochain(table[w].cx, 2, 1)
+    assert coboundary(table[w])
+    monkeypatch.setattr(obstruction, "_phi_d_table", lambda: table)
+    # alpha is cached; read it again from the patched table, and from the real one afterwards.
+    obstruction.alpha_hom.cache_clear()
+    try:
+        code, out, err = run(capsys, "obstruct")
+    finally:
+        obstruction.alpha_hom.cache_clear()
+    assert code == 1
+    assert "FAIL phi-d-cocycles: expected=90/90 computed=89/90 [derived]" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: INCONCLUSIVE"
+    assert err.startswith("consistency failure diagnostic\n")
+    assert "failing check: phi-d-cocycles " in err
+    assert "Traceback" not in err
+
+
+def test_non_closed_gauge_shift_is_inconclusive(capsys, monkeypatch):
+    from becochains import cli
+    from becochains.algebras import HomWH
+
+    real_shift = cli.gauge_shift
+
+    def broken_shift(f):
+        shifted = real_shift(f)
+        return shifted + HomWH(4, 2, 2, [1] + [0] * (len(shifted.rows) - 1))
+
+    monkeypatch.setattr(cli, "gauge_shift", broken_shift)
+    code, out, err = run(capsys, "obstruct", "--gauge-seed", "42")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL gauge-alpha-shift: expected=True computed=False [derived]" in lines
+    assert lines[-1] == "verdict: INCONCLUSIVE"
+    assert "failing check: gauge-alpha-shift " in err
+    assert "Traceback" not in err

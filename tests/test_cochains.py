@@ -264,6 +264,9 @@ def test_pullback_rejects_bad_tags_and_sources():
                    ((0, 1), empty), ((1, 2, 3, 4), c3)):
         with pytest.raises(ValueError):
             pullback(cx4, tag, c)
+    # a tag of four labels is refused even with a source of arity 4
+    with pytest.raises(ValueError, match="pair or a triple"):
+        pullback(cx4, (1, 2, 3, 4), omega(4, 1, 2))
     with pytest.raises(ValueError, match="arity 2"):
         pullback(cx4, (1, 2), c3)
     with pytest.raises(ValueError, match="arity 3"):

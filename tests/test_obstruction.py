@@ -27,7 +27,6 @@ from becochains.obstruction import (
     ANCHOR_VALUES,
     ANCHOR_WORDS,
     _phi_d_all,
-    alpha,
     alpha_hom,
     beta,
     dual_d,
@@ -163,9 +162,12 @@ def test_alpha_anchor_values():
     a = alpha_hom()
     for w, expected in zip(ANCHOR_WORDS, ANCHOR_VALUES):
         assert a.apply(w) == expected, w
-    assert alpha(W("B12.B23.B13")) == words("A12.A13 + A12.A23")
-    assert alpha(W("B12.B24.B14")) == words("A12.A14 + A12.A24")
-    assert alpha(W("B23.B34.B24")) == words("A23.A24 + A23.A34")
+    assert a.apply(W("B12.B23.B13")) == words("A12.A13 + A12.A23")
+    assert a.apply(W("B12.B24.B14")) == words("A12.A14 + A12.A24")
+    assert a.apply(W("B23.B34.B24")) == words("A23.A24 + A23.A34")
+    # each row is the class of its error cocycle
+    for w, row in zip(w_basis(4, 2), a.rows):
+        assert row == class_of_cocycle(phi_d(w)), w
 
 
 def test_proof_anchor_simplices_lie_in_cycles():
@@ -201,10 +203,7 @@ def test_hochschild_matrix_shape_and_consistency():
     columns = m.transpose().data
     for col in (0, 37, 149):
         wi, mi = divmod(col, len(basis1))
-        f = HomWH.from_map(
-            4, 1, 1,
-            lambda u, wi=wi, mi=mi: [basis1[mi]] if u == gens[wi] else [],
-        )
+        f = HomWH(4, 1, 1, [1 << mi if u == gens[wi] else 0 for u in gens])
         # row-major packing: bit r * width2 + c is coefficient c of row r
         packed = sum(row << (r * width2) for r, row in enumerate(hochschild_d(f).rows))
         assert columns[col] == packed
@@ -261,7 +260,7 @@ def test_gauge_assembly_matches_per_pair_cups(seed):
     assembled = _phi_d_all([level1[u] for u in gens])
     refs = {w: reference_phi_d(level1, w) for w in w_basis(4, 2)}
     assert assembled == refs
-    assert gauge_shift(f) == HomWH.from_map(4, 2, 2, lambda w: class_of_cocycle(refs[w]))
+    assert gauge_shift(f) == HomWH(4, 2, 2, [class_of_cocycle(refs[w]) for w in w_basis(4, 2)])
 
 
 def test_dual_d_transposes_hochschild_d():
@@ -383,6 +382,15 @@ def test_is_coboundary_roundtrip():
     assert hochschild_d(witness0).is_zero()
 
 
+def test_is_coboundary_of_a_non_cocycle_is_none():
+    a = alpha_hom()
+    rows = list(a.rows)
+    rows[0] ^= 1
+    broken = HomWH(4, 2, 2, rows)
+    assert not hochschild_d(broken).is_zero()
+    assert is_coboundary(broken) is None
+
+
 def test_gauge_zero_shift_is_alpha():
     assert gauge_shift(HomWH(4, 1, 1, [0] * len(w_basis(4, 1)))) == alpha_hom()
 
@@ -399,10 +407,11 @@ def test_gauge_shift_identity_many_seeds():
 
 
 def test_validates_class_on_anchors():
+    rows = dict(zip(w_basis(4, 2), alpha_hom().rows))
     for w in ANCHOR_WORDS:
-        assert validates_class(phi_d(w), alpha(w))
+        assert validates_class(phi_d(w), rows[w])
     # a deliberately wrong class fails
-    wrong = frozenset({W("A12.A34")})
+    wrong = 1 << arnold_basis(4, 2).index(W("A12.A34"))
     assert not validates_class(phi_d(ANCHOR_WORDS[0]), wrong)
 
 
@@ -432,4 +441,4 @@ def test_maps_and_cochains_of_another_arity_are_rejected():
     with pytest.raises(ValueError):
         is_coboundary(HomWH(4, 1, 1, [0] * len(w_basis(4, 1))))
     with pytest.raises(ValueError):
-        validates_class(zero(get_complex(3, 2), 2), frozenset())
+        validates_class(zero(get_complex(3, 2), 2), 0)

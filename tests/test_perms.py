@@ -10,8 +10,7 @@ from becochains.perms import (
     pair_flags,
     perm_from_text,
     perm_text,
-    project_pair,
-    project_triple,
+    project,
 )
 from reference import compose, identity, inverse
 
@@ -54,24 +53,36 @@ def test_act_relabels_letters():
 
 
 def test_project_pair_keeps_relative_order():
-    assert project_pair((3, 1, 2), 1, 2) == (1, 2)
-    assert project_pair((3, 1, 2), 1, 3) == (2, 1)
-    assert project_pair((3, 1, 2), 2, 3) == (2, 1)
-    assert project_pair((2, 1, 4, 3), 2, 3) == (1, 2)
+    assert project((3, 1, 2), (1, 2)) == (1, 2)
+    assert project((3, 1, 2), (1, 3)) == (2, 1)
+    assert project((3, 1, 2), (2, 3)) == (2, 1)
+    assert project((2, 1, 4, 3), (2, 3)) == (1, 2)
+    # the order of the labels in the tag names the pattern's letters
+    assert project((3, 1, 2), (2, 1)) == (2, 1)
 
 
 def test_project_triple_keeps_relative_order():
     # letters 1,2,3 inside (4,3,1,2) read 3,1,2
-    assert project_triple((4, 3, 1, 2), (1, 2, 3)) == (3, 1, 2)
-    assert project_triple((4, 3, 1, 2), (1, 2, 4)) == (3, 1, 2)
-    assert project_triple((4, 3, 1, 2), (2, 3, 4)) == (3, 2, 1)
+    assert project((4, 3, 1, 2), (1, 2, 3)) == (3, 1, 2)
+    assert project((4, 3, 1, 2), (1, 2, 4)) == (3, 1, 2)
+    assert project((4, 3, 1, 2), (2, 3, 4)) == (3, 2, 1)
+
+
+def test_project_rejects_bad_labels():
+    # repeated labels, labels past the arity or below 1, and a word that is no permutation
+    for p, labels in (((3, 1, 2), (1, 1)), ((3, 1, 2), (1, 4)), ((3, 1, 2), (0, 1)),
+                      ((4, 3, 1, 2), (1, 2, 2)), ((4, 3, 1, 2), (1, 2, 5))):
+        with pytest.raises(ValueError, match="distinct and in 1.."):
+            project(p, labels)
+    with pytest.raises(ValueError, match="not a permutation word"):
+        project((3, 3, 2), (1, 2))
 
 
 def test_project_triple_surjective_on_fibers():
     # every three-letter word lifts to exactly four four-letter words
     from collections import Counter
 
-    counts = Counter(project_triple(p, (1, 2, 3)) for p in all_perms(4))
+    counts = Counter(project(p, (1, 2, 3)) for p in all_perms(4))
     assert set(counts) == set(all_perms(3))
     assert all(v == 4 for v in counts.values())
 
@@ -79,8 +90,8 @@ def test_project_triple_surjective_on_fibers():
 def test_project_equivariance():
     # projecting after relabelling within the kept letters matches acting on the image
     for p in all_perms(4):
-        assert project_triple(act((2, 1, 3, 4), p), (1, 2, 3)) == act(
-            (2, 1, 3), project_triple(p, (1, 2, 3))
+        assert project(act((2, 1, 3, 4), p), (1, 2, 3)) == act(
+            (2, 1, 3), project(p, (1, 2, 3))
         )
 
 
