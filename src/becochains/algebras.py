@@ -201,7 +201,8 @@ class HomWH:
     """GF(2) linear map from one resolution level of W to one Arnold degree.
 
     Rows follow the canonical level basis; each row is a bitmask over the
-    canonical Arnold basis of the target degree.
+    canonical Arnold basis of the target degree, and a row that is negative
+    or has bits past that basis raises ValueError.
     """
 
     __slots__ = ("k", "level", "qdeg", "rows")
@@ -213,15 +214,12 @@ class HomWH:
         expected = len(w_basis(k, level))
         if len(rows) != expected:
             raise ValueError(f"expected {expected} rows, got {len(rows)}")
+        width = len(arnold_basis(k, qdeg))
+        for r, row in enumerate(rows):
+            if row < 0 or row >> width:
+                raise ValueError(f"row {r} is {row}, not a bit row over the "
+                                 f"{width} Arnold monomials of degree {qdeg}")
         self.rows = tuple(rows)
-
-    def apply(self, w: Word) -> Element:
-        basis = arnold_basis(self.k, self.qdeg)
-        try:
-            row = self.rows[_w_index(self.k, self.level)[w]]
-        except KeyError:
-            raise ValueError(f"not a level-{self.level} W basis word: {word_text('B', w)}") from None
-        return frozenset(basis[i] for i in _bits(row))
 
     def __add__(self, other: "HomWH") -> "HomWH":
         if (self.k, self.level, self.qdeg) != (other.k, other.level, other.qdeg):
@@ -243,11 +241,6 @@ class HomWH:
 
     def __repr__(self) -> str:
         return f"HomWH(k={self.k}, level={self.level}, qdeg={self.qdeg})"
-
-
-@lru_cache(maxsize=None)
-def _w_index(k: int, level: int) -> Dict[Word, int]:
-    return {w: i for i, w in enumerate(w_basis(k, level))}
 
 
 @lru_cache(maxsize=None)

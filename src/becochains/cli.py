@@ -130,10 +130,10 @@ class Report:
         return self.to_json() if fmt == "json" else self.to_text()
 
 
-def _monomials_text(monomials) -> str:
-    if not monomials:
-        return "0"
-    return " + ".join(sorted(word_text("A", m) for m in monomials))
+def _row_text(row: int) -> str:
+    """A bit row over the quadratic basis as its sum of monomials, in basis order."""
+    basis = arnold_basis(4, 2)
+    return " + ".join(word_text("A", m) for i, m in enumerate(basis) if row >> i & 1) or "0"
 
 
 def _pairs_text(pairs) -> str:
@@ -266,9 +266,10 @@ def cmd_obstruct(gauge_seed: Optional[int]) -> Report:
     # alpha reads the classes of the error cocycles, so they are checked first.
     cocycles = sum(1 for w in w_basis(4, 2) if not coboundary(phi_d(w)))
     a = alpha_hom()
+    rows = dict(zip(w_basis(4, 2), a.rows))
     for w, expected in zip(ANCHOR_WORDS, ANCHOR_VALUES):
         report.add(f"alpha-{word_text('B', w).replace('.', '')}",
-                   _monomials_text(expected), _monomials_text(a.apply(w)), "paper")
+                   _row_text(expected), _row_text(rows[w]), "paper")
     report.add("phi-d-cocycles", "90/90", f"{cocycles}/90", "derived")
 
     tri = triangle(a)

@@ -5,14 +5,15 @@ rejected with ValueError. phi0 and phi1 send dual generators to explicit cochain
 a level-2 generator is the cup-image of its coproduct. Its cohomology class
 alpha lands in the Hochschild convolution complex, where solvability against
 the twisting cochain decides formality. A dual-complex cycle beta certifies
-the verdict through the pairing.
+the verdict through the pairing. Dual elements are int bit rows in the layout
+of _packed: bit r * width + c is quadratic monomial c on level-2 word r.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from random import Random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .algebras import (
     HomWH,
@@ -25,7 +26,6 @@ from .algebras import (
     hochschild_d,
     tau,
     w_basis,
-    word_text,
 )
 from .cochains import (
     F2Cochain,
@@ -43,7 +43,6 @@ from .cycles import _class_row, class_of_cocycle, omega_product
 from .gf2 import BitMatrix, _bits, rowspace_basis, solve
 
 __all__ = [
-    "DualElt",
     "ANCHOR_WORDS",
     "ANCHOR_VALUES",
     "phi0",
@@ -61,8 +60,6 @@ __all__ = [
     "triangle",
 ]
 
-DualElt = FrozenSet[Tuple[Word, Word]]
-
 # The six level-2 generators whose alpha values are published anchors.
 ANCHOR_WORDS: Tuple[Word, ...] = (
     ((1, 2), (2, 3), (1, 3)),
@@ -73,13 +70,16 @@ ANCHOR_WORDS: Tuple[Word, ...] = (
     ((2, 3), (3, 4), (2, 4)),
 )
 
-ANCHOR_VALUES: Tuple[FrozenSet[Word], ...] = (
-    frozenset({((1, 2), (1, 3)), ((1, 2), (2, 3))}),
-    frozenset({((1, 2), (1, 4)), ((1, 2), (2, 4))}),
-    frozenset(),
-    frozenset(),
-    frozenset(),
-    frozenset({((2, 3), (2, 4)), ((2, 3), (3, 4))}),
+# Their alpha values as bit rows over arnold_basis(4, 2), whose monomials
+# run A12.A13, A12.A14, A12.A23, A12.A24, A12.A34, A13.A14, A13.A24,
+# A13.A34, A23.A14, A23.A24, A23.A34 from bit 0.
+ANCHOR_VALUES: Tuple[int, ...] = (
+    0b00000000101,  # A12.A13 + A12.A23
+    0b00000001010,  # A12.A14 + A12.A24
+    0,
+    0,
+    0,
+    0b11000000000,  # A23.A24 + A23.A34
 )
 
 
@@ -201,46 +201,43 @@ def is_coboundary(a: HomWH) -> Optional[HomWH]:
     return HomWH(4, 1, 1, [x >> (wi * width) & mask for wi in range(len(w_basis(4, 1)))])
 
 
-def _cap(a: Pair, h: Word) -> List[Word]:
-    """Transpose of multiplication by one generator on dual-basis coordinates."""
-    return [x for x in arnold_basis(4, len(h) - 1) if h in arnold_normalize(x + (a,))]
+@lru_cache(maxsize=None)
+def _cap(a: Pair, m: int) -> int:
+    """Transpose of multiplication by a: bit i is set when x_i . a holds quadratic monomial m."""
+    h = arnold_basis(4, 2)[m]
+    return sum(1 << i for i, x in enumerate(arnold_basis(4, 1)) if h in arnold_normalize(x + (a,)))
 
 
-def _check_dual(z: DualElt, level: Optional[int] = None):
-    """Each summand must be a W basis word and an Arnold basis monomial of its level."""
-    for word, h in z:
-        n = len(word) - 1
-        if level is not None and n != level:
-            raise ValueError(f"expected a level-{level} word: {word_text('B', word)}")
-        # The monomial first: none has degree above 3, so no large W basis is built.
-        if n < 0 or h not in arnold_basis(4, n):
-            raise ValueError(f"not an Arnold basis monomial of degree {n}: {word_text('A', h)}")
-        if word not in w_basis(4, n):
-            raise ValueError(f"not a W basis word of arity 4: {word_text('B', word)}")
+def _check_dual(z: int):
+    """A dual row has one bit per level-2 word and quadratic monomial."""
+    width = len(w_basis(4, 2)) * len(arnold_basis(4, 2))
+    if z < 0 or z >> width:
+        raise ValueError(f"not a level-2 dual row of {width} bits: {z:#x}")
 
 
-def dual_d(z: DualElt) -> DualElt:
-    """Differential of the dual complex W (x) H-dual.
+def dual_d(z: int) -> int:
+    """Differential of the dual complex W (x) H-dual, from a level-2 row to a level-1 row.
 
     Applies the twisting cochain on the length-1 leg of the coproduct and
     caps it into the homology factor; the second coproduct piece contributes
     with its tensor factors interchanged.
     """
     _check_dual(z)
-    acc: set = set()
-    for word, h in z:
-        n = len(word)
-        for u, v in coproduct_component(4, word, n - 1, 1):
-            for x in _cap(v[0], h):
-                acc ^= {(u, x)}
-        for u, v in coproduct_component(4, word, 1, n - 1):
-            for x in _cap(u[0], h):
-                acc ^= {(v, x)}
-    return frozenset(acc)
+    width2, width1 = len(arnold_basis(4, 2)), len(arnold_basis(4, 1))
+    first = {u: i * width1 for i, u in enumerate(w_basis(4, 1))}
+    gens = w_basis(4, 2)
+    acc = 0
+    for bit in _bits(z):
+        r, m = divmod(bit, width2)
+        for u, v in coproduct_component(4, gens[r], 2, 1):
+            acc ^= _cap(v[0], m) << first[u]
+        for u, v in coproduct_component(4, gens[r], 1, 2):
+            acc ^= _cap(u[0], m) << first[v]
+    return acc
 
 
-def beta() -> DualElt:
-    """The certifying cycle: 11 summands over 6 level-2 generators."""
+def beta() -> int:
+    """The certifying cycle as a dual row: 11 summands over 6 level-2 generators."""
     summands = [
         (((1, 2), (2, 3), (1, 3)), ((1, 3), (1, 4))),
         (((1, 2), (2, 3), (1, 3)), ((1, 3), (2, 4))),
@@ -254,14 +251,15 @@ def beta() -> DualElt:
         (((2, 3), (2, 4), (1, 4)), ((1, 2), (1, 4))),
         (((2, 3), (3, 4), (2, 4)), ((1, 2), (3, 4))),
     ]
-    return frozenset(summands)
+    gens, basis = w_basis(4, 2), arnold_basis(4, 2)
+    return sum(1 << gens.index(w) * len(basis) + basis.index(h) for w, h in summands)
 
 
-def pair_alpha_beta(a: HomWH, b: DualElt) -> int:
-    """Sum over summands w (x) h of the h-coefficient of a(w)."""
+def pair_alpha_beta(a: HomWH, b: int) -> int:
+    """Sum over the summands w (x) h of b of the h-coefficient of a(w)."""
     _check_hom(a, 2, 2)
-    _check_dual(b, 2)
-    return sum(h in a.apply(word) for word, h in b) & 1
+    _check_dual(b)
+    return (_packed(a) & b).bit_count() & 1
 
 
 def gauge_shift(f: HomWH) -> HomWH:
@@ -271,8 +269,9 @@ def gauge_shift(f: HomWH) -> HomWH:
     by its product of pair-projection cocycles and added to phi1.
     """
     _check_hom(f, 1, 1)
-    level1 = [reduce(F2Cochain.__add__, (omega(4, *m[0]) for m in f.apply(u)), phi1(u))
-              for u in w_basis(4, 1)]
+    basis = arnold_basis(4, 1)
+    level1 = [reduce(F2Cochain.__add__, (omega(4, *basis[i][0]) for i in _bits(row)), phi1(u))
+              for u, row in zip(w_basis(4, 1), f.rows)]
     cocycles = _phi_d_all(level1)
     return HomWH(4, 2, 2, [class_of_cocycle(cocycles[w]) for w in w_basis(4, 2)])
 
@@ -300,6 +299,8 @@ def validates_class(c: F2Cochain, row: int) -> bool:
     if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
         raise ValueError("expected a degree-2 cochain of the arity-4 complex")
     basis = arnold_basis(4, 2)
+    if row < 0 or row >> len(basis):
+        raise ValueError(f"not a bit row over the {len(basis)} quadratic monomials: {row}")
     acc = c
     for r in _bits(row):
         acc = acc + omega_product(basis[r])

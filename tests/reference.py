@@ -1,14 +1,15 @@
 """Reference implementations the tests compare the package against.
 
-Each works on raw tuples, ints and frozensets and is written out from its
-definition, sharing no code with what the tests check. The one package
-function called here is arnold_normalize, which arnold_mult extends
-bilinearly; the test that compares the package with arnold_mult checks
-convolution, not arnold_normalize.
+Each works on raw tuples, ints and frozensets (apply reads only the fields
+of a map) and is written out from its definition, sharing no code with what
+the tests check. The one package function called here is arnold_normalize,
+which arnold_mult extends bilinearly; the test that compares the package
+with arnold_mult checks convolution, not arnold_normalize.
 """
 
 from collections import defaultdict
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from math import factorial
 
 from becochains.algebras import arnold_normalize
@@ -102,6 +103,25 @@ def is_admissible_arnold(word):
 def is_admissible_yb(word):
     """Generators (i, j) with i < j and non-decreasing second indices."""
     return all(i < j for i, j in word) and all(a[1] <= b[1] for a, b in zip(word, word[1:]))
+
+
+@lru_cache(maxsize=None)
+def admissible_words(k, length, admissible):
+    """Every admissible word of the given length on k labels, lexicographically."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    return tuple(sorted(w for w in product(pairs, repeat=length) if admissible(w)))
+
+
+def apply(h, w):
+    """The monomials of h(w) for a map h from a W level to an Arnold degree.
+
+    Row r of h is the r-th admissible Yang-Baxter word of length level + 1,
+    and bit c of a row is the c-th admissible Arnold monomial of degree qdeg.
+    """
+    words = admissible_words(h.k, h.level + 1, is_admissible_yb)
+    monomials = admissible_words(h.k, h.qdeg, is_admissible_arnold)
+    row = h.rows[words.index(w)]
+    return frozenset(m for c, m in enumerate(monomials) if row >> c & 1)
 
 
 def is_two_block_cycle(chain):

@@ -155,8 +155,9 @@ def test_criterion_5_level_one_compatibility():
 def test_criterion_6_obstruction_anchors():
     """Alpha matches the six pinned values; cocycle conditions hold everywhere."""
     a = alpha_hom()
+    rows = dict(zip(w_basis(4, 2), a.rows))
     for w, expected in zip(ANCHOR_WORDS, ANCHOR_VALUES):
-        assert a.apply(w) == expected, w
+        assert rows[w] == expected, w
     for w in w_basis(4, 2):
         assert not coboundary(phi_d(w)), w
     assert len(w_basis(4, 3)) == 301
@@ -168,7 +169,7 @@ def test_criterion_7_nonformality_two_routes():
     t0 = time.monotonic()
     a = alpha_hom()
     b = beta()
-    route_a = dual_d(b) == frozenset() and pair_alpha_beta(a, b) == 1
+    route_a = dual_d(b) == 0 and pair_alpha_beta(a, b) == 1
     m = hochschild_matrix()
     assert (m.rows, m.cols) == (990, 150)
     route_b = is_coboundary(a) is None

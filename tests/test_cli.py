@@ -240,3 +240,68 @@ def test_non_closed_gauge_shift_is_inconclusive(capsys, monkeypatch):
     assert lines[-1] == "verdict: INCONCLUSIVE"
     assert "failing check: gauge-alpha-shift " in err
     assert "Traceback" not in err
+
+
+def assert_inconclusive(code, out, err, *failing):
+    """Exit 1, an INCONCLUSIVE verdict, and a diagnostic naming each failing check."""
+    assert code == 1
+    assert out.splitlines()[-1] == "verdict: INCONCLUSIVE"
+    assert err.startswith("consistency failure diagnostic\n")
+    for name in failing:
+        assert f"failing check: {name} " in err
+    assert "Traceback" not in err
+
+
+def test_flipped_beta_bit_fails_the_pairing_leg(capsys, monkeypatch):
+    from becochains import cli, obstruction
+    from becochains.algebras import arnold_basis, w_basis
+
+    # the one summand that pairs with alpha: B12.B24.B14 (x) A12.A14
+    bit = (w_basis(4, 2).index(((1, 2), (2, 4), (1, 4))) * 11
+           + arnold_basis(4, 2).index(((1, 2), (1, 4))))
+    real_beta = obstruction.beta
+    assert real_beta() >> bit & 1
+
+    def flipped_beta():
+        return real_beta() ^ 1 << bit
+
+    monkeypatch.setattr(obstruction, "beta", flipped_beta)
+    monkeypatch.setattr(cli, "beta", flipped_beta)
+    code, out, err = run(capsys, "obstruct")
+    assert "FAIL dual-beta-zero: expected=True computed=False [paper]" in out.splitlines()
+    assert "FAIL pairing-alpha-beta: expected=1 computed=0 [paper]" in out.splitlines()
+    assert_inconclusive(code, out, err, "dual-beta-zero", "pairing-alpha-beta",
+                        "consistency-triangle")
+
+
+def test_corrupt_anchor_value_fails_its_alpha_check(capsys, monkeypatch):
+    from becochains import cli
+
+    values = list(cli.ANCHOR_VALUES)
+    values[3] ^= 1
+    monkeypatch.setattr(cli, "ANCHOR_VALUES", tuple(values))
+    code, out, err = run(capsys, "obstruct")
+    lines = out.splitlines()
+    assert "FAIL alpha-B23B13B24: expected=A12.A13 computed=0 [paper]" in lines
+    assert sum(line.startswith("FAIL ") for line in lines) == 1
+    assert_inconclusive(code, out, err, "alpha-B23B13B24")
+
+
+def test_solvable_alpha_fails_the_solve_leg(capsys, monkeypatch):
+    from becochains import obstruction
+    from becochains.gf2 import BitMatrix
+
+    real = obstruction.hochschild_matrix()
+
+    def hits_alpha():
+        # column 0 replaced by alpha itself, so alpha = d(elementary map 0)
+        cols = real.transpose().data
+        cols[0] = obstruction._packed(obstruction.alpha_hom())
+        return BitMatrix(len(cols), real.rows, cols).transpose()
+
+    monkeypatch.setattr(obstruction, "hochschild_matrix", hits_alpha)
+    code, out, err = run(capsys, "obstruct")
+    lines = out.splitlines()
+    assert "FAIL not-a-coboundary: expected=True computed=False [derived]" in lines
+    assert "PASS pairing-alpha-beta: expected=1 computed=1 [paper]" in lines
+    assert_inconclusive(code, out, err, "not-a-coboundary", "consistency-triangle")

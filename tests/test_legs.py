@@ -33,6 +33,8 @@ PRIMITIVES = frozenset({
     "algebras.HomWH.__init__", "gf2.BitMatrix.__init__",
     "gf2.BitMatrix.transpose", "gf2._pivot_basis", "gf2._bits",
     "obstruction._check_hom",
+    # the row-major layout that the solve and the pairing both read alpha in
+    "obstruction._packed",
 })
 
 # The body of each leg; `a` is the HomWH built from the literal rows.

@@ -41,6 +41,7 @@ from becochains.obstruction import (
     triangle,
     validates_class,
 )
+from reference import admissible_words, apply, is_admissible_arnold, is_admissible_yb
 
 
 def words(text):
@@ -51,6 +52,25 @@ def words(text):
 
 def W(text):
     return parse_word(text)[1]
+
+
+def _layout(level):
+    """The level words and the degree-level monomials that index a dual row."""
+    return (admissible_words(4, level + 1, is_admissible_yb),
+            admissible_words(4, level, is_admissible_arnold))
+
+
+def dual_row(pairs, level=2):
+    """Pack (word, monomial) pairs into a dual row: bit r * width + c is monomial c on word r."""
+    gens, basis = _layout(level)
+    return sum(1 << gens.index(w) * len(basis) + basis.index(m) for w, m in set(pairs))
+
+
+def dual_pairs(row, level=2):
+    """The (word, monomial) pairs of a dual row."""
+    gens, basis = _layout(level)
+    bits = [b for b in range(row.bit_length()) if row >> b & 1]
+    return {(gens[b // len(basis)], basis[b % len(basis)]) for b in bits}
 
 
 def test_phi0_is_omega():
@@ -160,11 +180,14 @@ def test_phi_d_values_are_cocycles():
 
 def test_alpha_anchor_values():
     a = alpha_hom()
+    rows = dict(zip(w_basis(4, 2), a.rows))
     for w, expected in zip(ANCHOR_WORDS, ANCHOR_VALUES):
-        assert a.apply(w) == expected, w
-    assert a.apply(W("B12.B23.B13")) == words("A12.A13 + A12.A23")
-    assert a.apply(W("B12.B24.B14")) == words("A12.A14 + A12.A24")
-    assert a.apply(W("B23.B34.B24")) == words("A23.A24 + A23.A34")
+        assert rows[w] == expected, w
+    assert apply(a, W("B12.B23.B13")) == words("A12.A13 + A12.A23")
+    assert apply(a, W("B12.B24.B14")) == words("A12.A14 + A12.A24")
+    assert apply(a, W("B23.B34.B24")) == words("A23.A24 + A23.A34")
+    for w in ANCHOR_WORDS[2:5]:
+        assert apply(a, w) == frozenset(), w
     # each row is the class of its error cocycle
     for w, row in zip(w_basis(4, 2), a.rows):
         assert row == class_of_cocycle(phi_d(w)), w
@@ -254,7 +277,7 @@ def test_gauge_assembly_matches_per_pair_cups(seed):
     level1 = {}
     for u in gens:
         c = phi1(u)
-        for m in f.apply(u):
+        for m in apply(f, u):
             c = c + omega(4, *m[0])
         level1[u] = c
     assembled = _phi_d_all([level1[u] for u in gens])
@@ -265,19 +288,12 @@ def test_gauge_assembly_matches_per_pair_cups(seed):
 
 def test_dual_d_transposes_hochschild_d():
     m = hochschild_matrix()
-    basis1, basis2 = arnold_basis(4, 1), arnold_basis(4, 2)
-    gens1, gens2 = w_basis(4, 1), w_basis(4, 2)
-    for row in range(0, 990, 13):
-        wj, mj = divmod(row, len(basis2))
-        dz = dual_d(frozenset({(gens2[wj], basis2[mj])}))
-        bits = 0
-        for u, v in dz:
-            bits |= 1 << (gens1.index(u) * len(basis1) + basis1.index(v))
-        assert bits == m.data[row], row
+    for row in range(990):
+        assert dual_d(1 << row) == m.data[row], row
 
 
 def test_beta_composition():
-    b = beta()
+    b = dual_pairs(beta())
     assert len(b) == 11
     gens = {w for w, _ in b}
     assert len(gens) == 6
@@ -297,7 +313,7 @@ def test_dual_d_summand_displays():
     from collections import defaultdict
 
     groups = defaultdict(set)
-    for w, m in beta():
+    for w, m in dual_pairs(beta()):
         groups[w].add(m)
 
     expected = {
@@ -319,40 +335,27 @@ def test_dual_d_summand_displays():
         W("B23.B34.B24"): {(W("B23.B24"), W("A12"))},
     }
     assert set(groups) == set(expected)
-    total = frozenset()
+    total = 0
     for w, monos in groups.items():
-        z = frozenset((w, m) for m in monos)
-        dz = dual_d(z)
-        assert dz == frozenset(expected[w]), w
-        total = total ^ dz
-    assert total == frozenset()
+        dz = dual_d(dual_row((w, m) for m in monos))
+        assert dz == dual_row(expected[w], level=1), w
+        total ^= dz
+    assert total == 0
 
 
-def test_dual_elements_outside_the_bases_are_rejected():
+def test_dual_rows_outside_the_level_2_layout_are_rejected():
     a = alpha_hom()
-    cases = [
-        # label 5 at arity 4, in the word and the monomial or in the word alone
-        (W("B12.B25.B15"), W("A12.A15"), "Arnold basis monomial"),
-        (W("B12.B25.B15"), W("A12.A14"), "W basis word"),
-        # a level-2 word pairs with a degree-2 monomial
-        (W("B12.B23.B13"), W("A12"), "Arnold basis monomial"),
-    ]
-    for word, h, message in cases:
-        z = frozenset({(word, h)})
-        with pytest.raises(ValueError, match=message):
+    # 90 words by 11 monomials: bit 990 is past the last summand
+    for z in (-1, -(1 << 40), 1 << 990, beta() | 1 << 2000):
+        with pytest.raises(ValueError, match="level-2 dual row of 990 bits"):
             dual_d(z)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="level-2 dual row of 990 bits"):
             pair_alpha_beta(a, z)
-    # Level-1 summands are valid for dual_d, whose values then carry the empty monomial.
-    for w in w_basis(4, 1):
-        for h in arnold_basis(4, 1):
-            assert all(len(u) == 1 and x == () for u, x in dual_d(frozenset({(w, h)})))
-    with pytest.raises(ValueError, match="level-2"):
-        pair_alpha_beta(a, frozenset({(W("B12.B23"), W("A14"))}))
+    assert dual_d((1 << 990) - 1) == dual_d((1 << 989) - 1) ^ dual_d(1 << 989)
 
 
 def test_dual_beta_is_a_cycle():
-    assert dual_d(beta()) == frozenset()
+    assert dual_d(beta()) == 0
 
 
 def test_pairing_is_one_with_single_contribution():
@@ -361,7 +364,7 @@ def test_pairing_is_one_with_single_contribution():
     assert pair_alpha_beta(a, b) == 1
     # the only contributing summand
     hits = [
-        (w, m) for w, m in b if m in a.apply(w)
+        (w, m) for w, m in dual_pairs(b) if m in apply(a, w)
     ]
     assert hits == [(W("B12.B24.B14"), W("A12.A14"))]
 
@@ -413,6 +416,13 @@ def test_validates_class_on_anchors():
     # a deliberately wrong class fails
     wrong = 1 << arnold_basis(4, 2).index(W("A12.A34"))
     assert not validates_class(phi_d(ANCHOR_WORDS[0]), wrong)
+
+
+def test_validates_class_rejects_rows_outside_the_quadratic_basis():
+    c = phi_d(ANCHOR_WORDS[0])
+    for row in (1 << 11, -1, (1 << 11) | 5):
+        with pytest.raises(ValueError, match="11 quadratic monomials"):
+            validates_class(c, row)
 
 
 def test_triangle_agreement():
