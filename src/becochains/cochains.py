@@ -121,8 +121,8 @@ def _cofaces(cx: Complex, deg: int) -> Tuple[Tuple[int, ...], ...]:
     coboundary sums them mod 2, so a face occurring twice in one simplex cancels.
     """
     cols: List[List[int]] = [[] for _ in range(len(cx.index(deg)))]
-    for s, row in enumerate(cx.face_indices(deg + 1)):
-        for f in row:
+    for column in cx.face_indices(deg + 1).columns:
+        for s, f in enumerate(column):
             if f >= 0:
                 cols[f].append(s)
     return tuple(map(tuple, cols))
@@ -254,11 +254,11 @@ def coboundary_matrix(cx: Complex, deg: int) -> BitMatrix:
     Rows are indexed by the degree deg+1 table, columns by the degree deg
     table; entry (s, f) counts occurrences of face f of s, mod 2.
     """
-    rows_faces = cx.face_indices(deg + 1)
+    faces = cx.face_indices(deg + 1)
     n_rows = len(cx.index(deg + 1))
     n_cols = len(cx.index(deg))
     data = []
-    for row in rows_faces:
+    for row in zip(*faces.columns):
         r = 0
         for f in row:
             if f >= 0:

@@ -9,11 +9,13 @@ the canonical order (lexicographic on concatenated one-line words).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
-from functools import cached_property, lru_cache
-from itertools import chain, compress, repeat
+from functools import lru_cache
+from itertools import chain, compress, count, islice, repeat
 from operator import and_, getitem, itemgetter, lshift, or_
-from typing import Dict, Iterable, Iterator, List, Tuple
+from struct import pack
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .perms import Perm, all_perms, ordered_pairs, pair_flags
 
@@ -21,6 +23,7 @@ __all__ = [
     "Simplex",
     "is_nondegenerate",
     "ComplexIndex",
+    "FaceTable",
     "Complex",
     "get_complex",
     "count_by_degree",
@@ -61,36 +64,28 @@ class _Walker:
         """The next levels the swap budgets allow, by increasing index, and their keys."""
         cur, *swapped = key
         here = self._flags[cur]
+        most, fewer = swapped[-1], [-1] + swapped
         nexts, keys = [], []
         for nxt, flags in enumerate(self._flags):
             changed = flags ^ here
-            if nxt == cur or changed & swapped[-1]:
+            if nxt == cur or changed & most:
                 continue
-            # A pair that had changed order i-1 times and changes now has changed i times.
-            masks = [m | (fewer & changed) for fewer, m in zip([-1] + swapped, swapped)]
             nexts.append(nxt)
-            keys.append((nxt, *masks))
+            # A pair that had changed order i-1 times and changes now has changed i times.
+            keys.append((nxt, *map(or_, swapped, map(and_, fewer, repeat(changed)))))
         return tuple(nexts), tuple(keys)
 
 
 class ComplexIndex:
-    """Canonically ordered table of the filtered nondegenerate simplices of one degree."""
+    """Canonically ordered table of the filtered nondegenerate simplices of one degree:
+    codes is an array('Q') when (degree + 1) * bits <= 64, else a list of ints."""
 
-    def __init__(self, k: int, t: int, deg: int, perms: Tuple[Perm, ...], bits: int,
-                 codes: List[int], ids: List[int]):
-        self.k = k
-        self.t = t
+    def __init__(self, deg: int, perms: Tuple[Perm, ...], bits: int, codes: Sequence[int]):
         self.degree = deg
         self.perms = perms
         self.bits = bits
         self.codes = codes
         self._perm_index = {p: i for i, p in enumerate(perms)}
-        self._ids = ids
-
-    @cached_property
-    def pos(self) -> Dict[int, int]:
-        """Code -> index, built on the first lookup."""
-        return dict(zip(self.codes, _grown(self._ids, len(self.codes))))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -113,13 +108,26 @@ class ComplexIndex:
         return self.unpack(self.codes[i])
 
     def index_of(self, s: Simplex) -> int:
-        try:
-            return self.pos[self.pack(s)]
-        except KeyError:
-            raise ValueError(f"simplex not in the table: {simplex_text(s)}") from None
+        """The position of s, found by bisecting the sorted codes."""
+        if len(s) == self.degree + 1 and self._perm_index.keys() >= set(s):
+            code = self.pack(s)
+            i = bisect_left(self.codes, code)
+            if i < len(self.codes) and self.codes[i] == code:
+                return i
+        raise ValueError(f"simplex not in the table: {simplex_text(s)}")
 
     def simplices(self) -> List[Simplex]:
         return [self.unpack(c) for c in self.codes]
+
+
+class FaceTable:
+    """Faces of one degree: columns[m][i] indexes face m of simplex i below, -1 if degenerate."""
+
+    def __init__(self, columns: Tuple[array, ...]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
 
 class Complex:
@@ -132,20 +140,20 @@ class Complex:
         self.perms = self._walker.perms
         self.bits = max(1, (len(self.perms) - 1).bit_length())
         self.top_degree = (t - 1) * (k * (k - 1) // 2)
-        # Index ints 0, 1, 2, ... shared by the position maps, face tables and
-        # front/back lists, so that each index is one int object wherever it is held.
-        self._ids: List[int] = []
-        self._tables: Dict[int, ComplexIndex] = {0: self._table(0, list(range(len(self.perms))))}
+        self._tables: Dict[int, ComplexIndex] = {0: self._table(0, range(len(self.perms)))}
         self._built_to = 0
         # Walker keys of the highest built table, one per simplex, for the next extension.
         self._frontier: List[_Key] = self._walker.starts
-        # Per degree d >= 1: how many children in table d each simplex of table d-1 has.
+        # Per degree d >= 1: how many children in table d each simplex of table d-1
+        # has, and the last level of each simplex of table d.
         self._children: Dict[int, array] = {}
-        self._face_idx: Dict[int, List[Tuple[int, ...]]] = {}
-        self._iterated: Dict[Tuple[int, int, int], List[int]] = {}
+        self._lasts: Dict[int, array] = {}
+        self._face_tables: Dict[int, FaceTable] = {}
+        self._iterated: Dict[Tuple[int, int, int], array] = {}
 
-    def _table(self, deg: int, codes: List[int]) -> ComplexIndex:
-        return ComplexIndex(self.k, self.t, deg, self.perms, self.bits, codes, self._ids)
+    def _table(self, deg: int, codes: Iterable[int]) -> ComplexIndex:
+        store = _filled("Q", codes) if (deg + 1) * self.bits <= 64 else list(codes)
+        return ComplexIndex(deg, self.perms, self.bits, store)
 
     def index(self, deg: int) -> ComplexIndex:
         """The canonical table for one degree, enumerating on first use.
@@ -173,45 +181,49 @@ class Complex:
         for deg in range(self._built_to + 1, up_to + 1):
             steps = list(map(step, self._frontier))
             self._children[deg] = array("H", map(len, map(itemgetter(0), steps)))
-            bases = map(lshift, self._tables[deg - 1].codes, repeat(self.bits))
-            levels = chain.from_iterable(map(itemgetter(0), steps))
-            codes = list(map(or_, self._per_child(deg, self._with_children(deg, bases)), levels))
-            self._tables[deg] = self._table(deg, codes)
+            self._lasts[deg] = _filled("H", chain.from_iterable(map(itemgetter(0), steps)))
+            parents = self._with_children(deg, self._tables[deg - 1].codes)
+            bases = self._per_child(deg, map(lshift, parents, repeat(self.bits)))
+            self._tables[deg] = self._table(deg, map(or_, bases, self._lasts[deg]))
             self._frontier = list(chain.from_iterable(map(itemgetter(1), steps)))
             self._built_to = deg
 
-    def face_indices(self, deg: int) -> List[Tuple[int, ...]]:
+    def face_indices(self, deg: int) -> FaceTable:
         """For each degree-deg simplex, its face index per position (-1 if degenerate)."""
         if deg < 1:
             raise ValueError("faces need a degree of at least 1")
-        if deg not in self._face_idx:
-            self._face_idx[deg] = list(self._faces(deg)) if deg <= self.top_degree else []
-        return self._face_idx[deg]
+        if deg not in self._face_tables:
+            columns = (self._face_columns(deg) if deg <= self.top_degree
+                       else tuple(array("i") for _ in range(deg + 1)))
+            self._face_tables[deg] = FaceTable(columns)
+        return self._face_tables[deg]
 
-    def _faces(self, deg: int) -> Iterator[Tuple[int, ...]]:
-        """The rows of face_indices(deg), from those of the degree below.
+    def _face_columns(self, deg: int) -> Tuple[array, ...]:
+        """The columns of face_indices(deg), from those of the degree below.
 
         A simplex is the extension (x, n) of its parent x by a last level n.
         Its last face is x, and for m < deg its face m is (d_m x, n), read
         off the slot table of the degree below: no face code is rebuilt and
-        no position map is read.
+        no code is looked up.
         """
-        lasts = self._last_levels(deg)  # builds the table and its child counts
-        ids = _grown(self._ids, len(self.index(deg - 1)))
-        parents = self._per_child(deg, self._with_children(deg, ids))
+        self.index(deg)  # builds the table, its child counts and last levels
+        lasts = self._lasts[deg]
+        parents = _filled("i", self._per_child(deg, self._with_children(deg, count())))
         if deg == 1:
-            return zip(lasts, parents)
-        # Degree-1 faces are cheap to rebuild, so the recursion leaves them uncached.
-        below = self.face_indices(deg - 1) if deg > 2 else self._faces(1)
-        below = list(self._with_children(deg, below))
-        slots = self._slots(deg - 1).__getitem__
-        # A degenerate d_m x (-1) reads the trailing row of -1s.
-        cols = [map(getitem, self._per_child(deg, map(slots, map(itemgetter(m), below))), lasts)
-                for m in range(deg)]
-        return zip(*cols, parents)
-
-    def _last_levels(self, deg: int) -> List[int]:
-        return list(map(and_, self.index(deg).codes, repeat((1 << self.bits) - 1)))
+            return array("i", lasts), parents
+        below = self.face_indices(deg - 1).columns
+        # slots[y][n]: the index of (y, n) in table deg-1, or -1. Simplices y without
+        # children, and the trailing row read by a degenerate d_m x (-1), share one row.
+        none = [-1] * (1 << self.bits)
+        slots = [[-1] * len(none) if c else none for c in self._children[deg - 1]] + [none]
+        parent_rows = self._per_child(deg - 1, self._with_children(deg - 1, slots))
+        for row, n, i in zip(parent_rows, self._lasts[deg - 1], count()):
+            row[n] = i
+        cols = []
+        for column in below:
+            rows = self._per_child(deg, map(slots.__getitem__, self._with_children(deg, column)))
+            cols.append(_filled("i", map(getitem, rows, lasts)))
+        return (*cols, parents)
 
     def _with_children(self, deg: int, values: Iterable) -> Iterator:
         """Of values, one per simplex of table deg-1, those of the simplices with children."""
@@ -221,51 +233,39 @@ class Complex:
         """Of values, one per simplex of table deg-1 with children, each once per child."""
         return chain.from_iterable(map(repeat, values, filter(None, self._children[deg])))
 
-    def _slots(self, deg: int) -> List[List[int]]:
-        """Row i, entry n: the degree-deg simplex that extends simplex i below by level n, or -1.
-
-        A simplex without children, and the trailing row, share one row of -1s.
-        """
-        none = [-1] * (1 << self.bits)
-        rows = [[-1] * len(none) if c else none for c in self._children[deg]]
-        rows.append(none)
-        parent_rows = self._per_child(deg, self._with_children(deg, rows))
-        ids = _grown(self._ids, len(self.index(deg)))
-        for row, n, i in zip(parent_rows, self._last_levels(deg), ids):
-            row[n] = i
-        return rows
-
-    def front_back(self, p: int, q: int) -> Tuple[List[int], List[int]]:
+    def front_back(self, p: int, q: int) -> Tuple[array, array]:
         """Front p-face and back q-face indices for every degree p+q simplex."""
         if p < 0 or q < 0:
             raise ValueError("degree must be non-negative")
         if p + q > self.top_degree:
-            return [], []
+            return array("i"), array("i")
         return self._iterated_face(p + q, q, -1), self._iterated_face(p + q, p, 0)
 
-    def _iterated_face(self, deg: int, times: int, m: int) -> List[int]:
+    def _iterated_face(self, deg: int, times: int, m: int) -> array:
         """Face m (0 or -1, the last) applied `times` times to every degree-deg simplex.
 
-        Each step is cached, so every (p, q) with one p + q shares them.
+        Each step is cached, so every (p, q) with one p + q shares them; a
+        single step is the stored face column itself.
         """
         key = (deg, times, m)
         if key not in self._iterated:
             if times == 0:
-                n = len(self.index(deg))
-                self._iterated[key] = _grown(self._ids, n)[:n]
+                col = array("i", range(len(self.index(deg))))
             else:
-                col = list(map(itemgetter(m), self.face_indices(deg - times + 1)))
+                col = self.face_indices(deg - times + 1).columns[m]
                 if times > 1:
-                    col = list(map(col.__getitem__, self._iterated_face(deg, times - 1, m)))
-                self._iterated[key] = col
+                    inner = self._iterated_face(deg, times - 1, m)
+                    col = _filled("i", map(col.tolist().__getitem__, inner))
+            self._iterated[key] = col
         return self._iterated[key]
 
 
-def _grown(ids: List[int], n: int) -> List[int]:
-    """The shared index ints, extended in place to hold at least 0..n-1."""
-    if len(ids) < n:
-        ids.extend(range(len(ids), n))
-    return ids
+def _filled(typecode: str, values: Iterable[int]) -> array:
+    """An array of values; struct.pack converts a chunk twice as fast as array() does."""
+    out, values = array(typecode), iter(values)
+    while chunk := list(islice(values, 1 << 14)):
+        out.frombytes(pack(f"{len(chunk)}{typecode}", *chunk))
+    return out
 
 
 _COMPLEXES: Dict[Tuple[int, int], Complex] = {}

@@ -1,5 +1,7 @@
 """Filtered complexes of permutation strings: enumeration, faces, actions."""
 
+import re
+from array import array
 from functools import lru_cache
 
 import pytest
@@ -118,18 +120,20 @@ def test_tables_match_brute_force_references(k, t, top):
     cx = Complex(k, t)
     for d, sims in enumerate(_brute_force_tables(k, t, top)):
         tbl = cx.index(d)
-        assert all(a < b for a, b in zip(tbl.codes, tbl.codes[1:]))
+        codes = list(tbl.codes)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
         assert tbl.simplices() == sims
         if d:
             below = cx.index(d - 1)
             expected = [
                 [-1 if f is None else below.index_of(f) for _, f in faces(s)] for s in sims
             ]
-            assert [list(row) for row in cx.face_indices(d)] == expected
+            assert len(cx.face_indices(d)) == len(sims)
+            assert [list(row) for row in zip(*cx.face_indices(d).columns)] == expected
         for p in range(d + 1):
             fronts, backs = cx.front_back(p, d - p)
-            assert fronts == [cx.index(p).index_of(s[: p + 1]) for s in sims]
-            assert backs == [cx.index(d - p).index_of(s[p:]) for s in sims]
+            assert list(fronts) == [cx.index(p).index_of(s[: p + 1]) for s in sims]
+            assert list(backs) == [cx.index(d - p).index_of(s[p:]) for s in sims]
 
 
 def test_face_and_front_back_tables_in_any_order():
@@ -142,23 +146,22 @@ def test_face_and_front_back_tables_in_any_order():
     front_back_of = {
         (p, d - p): cx.front_back(p, d - p) for d in range(top + 2) for p in range(d + 1)
     }
-    # Neither table reads a position map.
-    assert not any("pos" in vars(cx.index(d)) for d in range(top + 2))
     assert faces_of[5] is faces_5
     assert front_back_of[(2, 3)] == front_back_2_3
-    assert faces_of[top + 1] == []
-    assert front_back_of[(0, top + 1)] == front_back_of[(top, 1)] == ([], [])
-    assert cx.front_back(top + 1, 2) == ([], [])
+    assert len(faces_of[top + 1]) == 0
+    assert [list(col) for col in faces_of[top + 1].columns] == [[]] * (top + 2)
+    for above in (front_back_of[(0, top + 1)], front_back_of[(top, 1)], cx.front_back(top + 1, 2)):
+        assert tuple(map(list, above)) == ([], [])
     with pytest.raises(ValueError):
         cx.face_indices(0)
     tables = _brute_force_tables(4, 2, top)
     at = [{s: i for i, s in enumerate(sims)} for sims in tables]
     for d in range(1, top + 1):
         expected = [[-1 if f is None else at[d - 1][f] for _, f in faces(s)] for s in tables[d]]
-        assert [list(row) for row in faces_of[d]] == expected
+        assert [list(row) for row in zip(*faces_of[d].columns)] == expected
     for d, sims in enumerate(tables):
         for p in range(d + 1):
-            assert front_back_of[(p, d - p)] == (
+            assert tuple(map(list, front_back_of[(p, d - p)])) == (
                 [at[p][s[: p + 1]] for s in sims],
                 [at[d - p][s[p:]] for s in sims],
             )
@@ -171,10 +174,39 @@ def test_tables_extend_in_place():
     cx.index(6)
     straight = Complex(4, 2)
     straight.index(6)
-    assert [cx.index(d).codes for d in range(7)] == [straight.index(d).codes for d in range(7)]
+    assert [list(cx.index(d).codes) for d in range(7)] == [
+        list(straight.index(d).codes) for d in range(7)
+    ]
     assert cx.face_indices(1) is rows
-    # No lookup has touched the top table, so it has no position map.
-    assert "pos" not in vars(cx.index(6))
+
+
+def test_tables_are_flat_arrays():
+    """Codes, face columns and front/back tables are arrays; single steps are stored columns."""
+    cx = Complex(4, 2)
+    top = cx.top_degree
+    cx.index(top)
+    faces_of = {d: cx.face_indices(d) for d in range(1, top + 1)}
+    splits = {(p, d - p): cx.front_back(p, d - p) for d in range(top + 1) for p in range(d + 1)}
+    for d in range(top + 1):
+        codes = cx.index(d).codes
+        assert isinstance(codes, array) and codes.typecode == "Q"
+    for table in faces_of.values():
+        assert all(isinstance(col, array) and col.typecode == "i" for col in table.columns)
+    for fronts, backs in splits.values():
+        assert all(isinstance(t, array) and t.typecode == "i" for t in (fronts, backs))
+    for p in range(1, top):
+        assert splits[(p, 1)][0] is faces_of[p + 1].columns[-1]
+        assert splits[(1, p)][1] is faces_of[p + 1].columns[0]
+
+
+def test_codes_are_an_array_exactly_when_they_fit_in_64_bits():
+    """(2, 2) packs a level in one bit, so degree 63 fills 64 bits and degree 64 needs 65."""
+    cx = Complex(2, 2)
+    assert cx.bits == 1
+    assert isinstance(cx.index(63).codes, array) and cx.index(63).codes.typecode == "Q"
+    assert isinstance(cx.index(64).codes, list)
+    assert list(cx._table(63, [0, (1 << 64) - 1]).codes) == [0, (1 << 64) - 1]
+    assert cx._table(64, [1 << 64]).codes == [1 << 64]
 
 
 def test_simplicial_identities():
@@ -218,6 +250,39 @@ def test_index_of_a_simplex_outside_the_table_raises():
     idx = get_complex(2, 2).index(2)
     with pytest.raises(ValueError, match=r"12\|21\|12"):
         idx.index_of(simplex_from_text("12|21|12"))
+
+
+@pytest.mark.parametrize("k, t", [(3, 3), (4, 2)])
+def test_index_of_round_trips_every_simplex(k, t):
+    cx = get_complex(k, t)
+    for d in range(cx.top_degree + 1):
+        tbl = cx.index(d)
+        assert [tbl.index_of(s) for s in tbl.simplices()] == list(range(len(tbl)))
+
+
+@pytest.mark.parametrize("k, t", [(3, 3), (4, 2)])
+def test_index_of_codes_between_and_beyond_the_table_raise(k, t):
+    """Constant strings are degenerate: below the first code, above the last, or between two."""
+    cx = get_complex(k, t)
+    first, second, last = cx.perms[0], cx.perms[1], cx.perms[-1]
+    for d in range(1, cx.top_degree + 1):
+        tbl = cx.index(d)
+        below, between, above = ((p,) * (d + 1) for p in (first, second, last))
+        assert tbl.pack(below) < tbl.codes[0] < tbl.pack(between) < tbl.codes[-1] < tbl.pack(above)
+        for s in (below, between, above):
+            message = f"simplex not in the table: {simplex_text(s)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                tbl.index_of(s)
+
+
+def test_index_of_rejects_a_simplex_of_another_length_or_arity():
+    """A one-level string can pack to a stored degree-1 code; its length tells it apart."""
+    idx = get_complex(4, 2).index(1)
+    short = (idx.perms[1],)
+    assert idx.pack(short) == idx.codes[0]
+    for s in (short, simplex_from_text("123|132")):
+        with pytest.raises(ValueError, match=re.escape(simplex_text(s))):
+            idx.index_of(s)
 
 
 def test_simplex_text_roundtrip():
