@@ -2,8 +2,8 @@
 
 Every vector is a Python int with bit j as coordinate j. All eliminations go
 through one incremental pivot basis: each row is reduced against the rows
-kept so far, keyed by their lowest set bit, and kept when a remainder
-survives (the sparse reduction of persistent-homology codes).
+kept so far, keyed by their highest set bit (the "low" of the standard column
+reduction of persistent homology), and kept when a remainder survives.
 """
 
 from __future__ import annotations
@@ -62,16 +62,16 @@ def _bits(v: int) -> List[int]:
 
 
 def _pivot_basis(rows: Iterable[int]) -> Dict[int, int]:
-    """Echelon basis of the span of rows: pivot column -> row with that lowest bit.
+    """Echelon basis of the span of rows: pivot column -> row with that highest bit.
 
-    A kept row has no bit below its pivot but may share higher bits with other
+    A kept row has no bit above its pivot but may share lower bits with other
     kept rows; the rows are kept in the order given, so the result is
     deterministic.
     """
     basis: Dict[int, int] = {}
     for v in rows:
         while v:
-            pivot = (v & -v).bit_length() - 1
+            pivot = v.bit_length() - 1
             row = basis.get(pivot)
             if row is None:
                 basis[pivot] = v
@@ -93,24 +93,24 @@ def solve(m: BitMatrix, b: int) -> Optional[int]:
     """
     if b < 0 or b >> m.rows:
         raise ValueError("right-hand side has bits beyond the row count")
-    aug = m.cols
-    basis = _pivot_basis(r | ((b >> i & 1) << aug) for i, r in enumerate(m.data))
-    # Inconsistent iff some row reduces to the bare augmented bit.
-    if aug in basis:
+    # Column j moves to bit j + 1 and the right-hand side to bit 0, below every pivot.
+    basis = _pivot_basis(r << 1 | (b >> i & 1) for i, r in enumerate(m.data))
+    # Inconsistent iff some row reduces to the bare right-hand-side bit.
+    if 0 in basis:
         return None
     x = 0
-    for pivot in sorted(basis, reverse=True):
+    for pivot in sorted(basis):
         row = basis[pivot]
-        if ((row ^ (1 << pivot)) & x).bit_count() & 1 != row >> aug:
+        if ((row ^ (1 << pivot)) & x).bit_count() & 1 != row & 1:
             x |= 1 << pivot
-    return x
+    return x >> 1
 
 
 def rowspace_basis(m: BitMatrix) -> List[int]:
-    """Echelon basis of the row space of m, sorted by ascending pivot.
+    """Echelon basis of the row space of m, sorted by descending pivot.
 
-    Each row's lowest set bit is its pivot column and the pivots increase
+    Each row's highest set bit is its pivot column and the pivots decrease
     strictly, so one pass in order decides membership in the row space.
     """
     basis = _pivot_basis(m.data)
-    return [basis[p] for p in sorted(basis)]
+    return [basis[p] for p in sorted(basis, reverse=True)]

@@ -293,8 +293,8 @@ def _im_d1_basis() -> Tuple[int, ...]:
 def validates_class(c: F2Cochain, row: int) -> bool:
     """Independent check that [c] is the class whose bit row over the quadratic basis is row.
 
-    Forms c + the product cocycles of the row's monomials and tests
-    membership in the coboundary space by reduction against its row basis.
+    Forms c + the product cocycles of the row's monomials and tests membership
+    in the coboundary space in one pass over its basis, by each row's highest bit.
     """
     if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
         raise ValueError("expected a degree-2 cochain of the arity-4 complex")
@@ -306,7 +306,7 @@ def validates_class(c: F2Cochain, row: int) -> bool:
         acc = acc + omega_product(basis[r])
     v = acc.support
     for pivot_row in _im_d1_basis():
-        if v & (pivot_row & -pivot_row):
+        if v >> (pivot_row.bit_length() - 1) & 1:
             v ^= pivot_row
     return v == 0
 

@@ -44,6 +44,17 @@ def mat_vec(rows, x):
     return y
 
 
+def low_pivot_rank(vectors):
+    """GF(2) rank by elimination on the lowest set bit, the opposite pivot rule to gf2's."""
+    pivots = {}
+    for v in vectors:
+        while v and (v & -v) in pivots:
+            v ^= pivots[v & -v]
+        if v:
+            pivots[v & -v] = v
+    return len(pivots)
+
+
 def swap_count(s, i, j):
     """Number of adjacent levels across which labels i and j change order."""
     before = [level.index(i) < level.index(j) for level in s]

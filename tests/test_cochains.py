@@ -24,7 +24,7 @@ from becochains.cochains import (
 )
 from becochains.complexes import Complex, get_complex, simplex_from_text
 from becochains.gf2 import rank
-from reference import boundary, faces, mat_vec, project
+from reference import boundary, faces, low_pivot_rank, mat_vec, project
 
 
 def cochain(cx, text):
@@ -373,3 +373,21 @@ def test_betti_numbers_by_rank():
     assert found[4, 2][2] == 11
     assert found[4, 2] == [1, 6, 11, 6, 0, 0, 0]
     assert found[3, 3] == [1, 0, 3, 0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("k,t", [(4, 2), (3, 3)])
+def test_coboundary_ranks_match_the_low_pivot_rule(k, t):
+    cx = get_complex(k, t)
+    for d in range(len(poincare_polynomial(k, t))):
+        m = coboundary_matrix(cx, d)
+        assert rank(m) == low_pivot_rank(m.data), d
+
+
+def test_betti_numbers_of_five_points_in_the_plane_through_degree_one():
+    """b0 and b1 of (5,2) from the 199200 x 14280 degree-1 coboundary rank."""
+    cx = Complex(5, 2)  # not the shared cache: the degree-2 table is large
+    expected = poincare_polynomial(5, 2)
+    ranks = [rank(coboundary_matrix(cx, d)) for d in (0, 1)]
+    assert ranks == [119, 14151]
+    assert len(cx.index(0)) - ranks[0] == expected[0] == 1
+    assert len(cx.index(1)) - ranks[1] - ranks[0] == expected[1] == 10

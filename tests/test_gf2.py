@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from becochains.gf2 import BitMatrix, rank, rowspace_basis, solve
-from reference import mat_vec
+from reference import low_pivot_rank, mat_vec
 
 
 def brute_rank(rows, cols):
@@ -15,17 +15,6 @@ def brute_rank(rows, cols):
     for r in rows:
         span |= {x ^ r for x in span}
     return len(span).bit_length() - 1
-
-
-def high_pivot_rank(vectors):
-    """Rank by elimination on the highest set bit, the opposite pivot rule to gf2's."""
-    pivots = {}
-    for v in vectors:
-        while v and v.bit_length() in pivots:
-            v ^= pivots[v.bit_length()]
-        if v:
-            pivots[v.bit_length()] = v
-    return len(pivots)
 
 
 def all_matrices(rows, cols):
@@ -112,9 +101,9 @@ def test_rowspace_basis_spans_rows():
             span |= {x ^ r for x in span}
         for r in data:
             assert r in span
-        # echelon shape: strictly increasing lowest set bits
-        lows = [r & -r for r in basis]
-        assert lows == sorted(set(lows))
+        # echelon shape: strictly decreasing highest set bits
+        highs = [r.bit_length() for r in basis]
+        assert highs == sorted(set(highs), reverse=True)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -140,22 +129,34 @@ def test_solve_random_shapes(shape):
             assert all(mat_vec(bad.data, cand) != bad_b for cand in range(1 << m.cols))
 
 
+def test_solve_right_hand_side_edges():
+    # no columns: only b = 0 is reachable
+    assert solve(BitMatrix(1, 0, [0]), 1) is None
+    assert solve(BitMatrix(1, 0, [0]), 0) == 0
+    # no rows: the empty system, solved by x = 0
+    assert solve(BitMatrix(0, 3, []), 0) == 0
+    # a single row holding only the top column
+    for cols in range(1, 70):
+        top = 1 << (cols - 1)
+        assert solve(BitMatrix(1, cols, [top]), 1) == top
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_rowspace_basis_random_shapes(shape):
     for m in seeded_matrices(shape, 105):
         basis = rowspace_basis(m)
         assert len(basis) == brute_rank(m.data, m.cols)
-        # echelon order: strictly increasing pivots (lowest set bits)
-        lows = [r & -r for r in basis]
-        assert 0 not in lows and lows == sorted(set(lows))
+        # echelon order: strictly decreasing pivots (highest set bits)
+        highs = [r.bit_length() for r in basis]
+        assert 0 not in highs and highs == sorted(set(highs), reverse=True)
         # every row reduces to zero in one pass over the basis in order
         for r in m.data:
             for row in basis:
-                if r & (row & -row):
+                if r >> (row.bit_length() - 1) & 1:
                     r ^= row
             assert r == 0
         # and the basis lies in the row space
-        assert high_pivot_rank(m.data + basis) == len(basis)
+        assert low_pivot_rank(m.data + basis) == len(basis)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
