@@ -285,10 +285,14 @@ def cmd_obstruct(gauge_seed: Optional[int]) -> Report:
 
     if gauge_seed is not None:
         f = random_gauge(gauge_seed)
-        shifted = gauge_shift(f)
-        report.add("gauge-alpha-shift", True, shifted == a + hochschild_d(f), "derived")
-        report.add("gauge-pairing", 1, pair_alpha_beta(shifted, b), "derived")
-        report.add("gauge-not-a-coboundary", True, is_coboundary(shifted) is None, "derived")
+        try:
+            shifted = gauge_shift(f)
+        except ValueError:  # a shifted error cochain is not a cocycle, so it has no class
+            report.add("gauge-alpha-shift", True, False, "derived")
+        else:
+            report.add("gauge-alpha-shift", True, shifted == a + hochschild_d(f), "derived")
+            report.add("gauge-pairing", 1, pair_alpha_beta(shifted, b), "derived")
+            report.add("gauge-not-a-coboundary", True, is_coboundary(shifted) is None, "derived")
 
     report.verdict = "NON-FORMAL CONFIRMED" if report.all_passed else "INCONCLUSIVE"
     report.extra["alpha_matrix"] = _alpha_matrix_payload(a)

@@ -8,7 +8,7 @@ distinction is semantic (pairing treats one argument as each).
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import and_, getitem, or_
+from operator import and_, getitem, or_, xor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import Complex, Simplex, get_complex, simplex_from_text, simplex_text
@@ -115,17 +115,18 @@ def _bitset(flags: bytearray) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cofaces(cx: Complex, deg: int) -> Tuple[Tuple[int, ...], ...]:
-    """Sparse coboundary columns: per degree-deg simplex, its cofaces with multiplicity.
+def _coface_masks(cx: Complex, deg: int) -> List[int]:
+    """Per degree-deg simplex, the int bitset of its cofaces mod 2: n_deg x n_{deg+1} bits.
 
-    coboundary sums them mod 2, so a face occurring twice in one simplex cancels.
+    A face occurring twice in one simplex cancels. The -1 of a degenerate face
+    lands in a trailing slot, dropped at the end.
     """
-    cols: List[List[int]] = [[] for _ in range(len(cx.index(deg)))]
+    masks = [0] * (len(cx.index(deg)) + 1)
     for column in cx.face_indices(deg + 1).columns:
         for s, f in enumerate(column):
-            if f >= 0:
-                cols[f].append(s)
-    return tuple(map(tuple, cols))
+            masks[f] ^= 1 << s
+    masks.pop()
+    return masks
 
 
 def coboundary(c: F2Cochain) -> F2Cochain:
@@ -134,12 +135,8 @@ def coboundary(c: F2Cochain) -> F2Cochain:
     if c.degree >= cx.top_degree:
         # The next cochain group vanishes, so the coboundary is zero there.
         return F2Cochain(cx, c.degree + 1)
-    cols = _cofaces(cx, c.degree)
-    parity = bytearray(len(cx.index(c.degree + 1)))
-    for f in _bits(c.support):
-        for s in cols[f]:
-            parity[s] ^= 1
-    return F2Cochain(cx, c.degree + 1, _bitset(parity))
+    masks = _coface_masks(cx, c.degree)
+    return F2Cochain(cx, c.degree + 1, reduce(xor, map(masks.__getitem__, _bits(c.support)), 0))
 
 
 @lru_cache(maxsize=None)
@@ -254,19 +251,15 @@ def coboundary_matrix(cx: Complex, deg: int) -> BitMatrix:
     Rows are indexed by the degree deg+1 table, columns by the degree deg
     table; entry (s, f) counts occurrences of face f of s, mod 2.
     """
-    faces = cx.face_indices(deg + 1)
-    n_rows = len(cx.index(deg + 1))
-    n_cols = len(cx.index(deg))
     data = []
-    for row in zip(*faces.columns):
+    for row in zip(*cx.face_indices(deg + 1).columns):
         r = 0
         for f in row:
             if f >= 0:
                 r ^= 1 << f
         data.append(r)
-    if len(data) != n_rows:
-        raise RuntimeError(f"face table has {len(data)} rows for {n_rows} simplices")
-    return BitMatrix(n_rows, n_cols, data)
+    # BitMatrix checks the face table's shape: one row per simplex, faces within the columns.
+    return BitMatrix(len(cx.index(deg + 1)), len(cx.index(deg)), data)
 
 
 def parse_cochain(cx: Complex, text: str, degree: Optional[int] = None) -> F2Cochain:

@@ -33,6 +33,7 @@ __all__ = [
 
 Simplex = Tuple[Perm, ...]
 _Key = Tuple[int, ...]
+_Step = Tuple[Tuple[int, ...], Tuple[_Key, ...]]
 
 SUPPORTED_T = (2, 3)
 MAX_ENUM_ARITY = 6
@@ -60,7 +61,7 @@ class _Walker:
         self._flags = [pair_flags(p, pairs) for p in self.perms]
         self.starts = [(i,) + (0,) * (t - 1) for i in range(len(self.perms))]
 
-    def step(self, key: _Key) -> Tuple[Tuple[int, ...], Tuple[_Key, ...]]:
+    def step(self, key: _Key) -> _Step:
         """The next levels the swap budgets allow, by increasing index, and their keys."""
         cur, *swapped = key
         here = self._flags[cur]
@@ -142,8 +143,8 @@ class Complex:
         self.top_degree = (t - 1) * (k * (k - 1) // 2)
         self._tables: Dict[int, ComplexIndex] = {0: self._table(0, range(len(self.perms)))}
         self._built_to = 0
-        # Walker keys of the highest built table, one per simplex, for the next extension.
-        self._frontier: List[_Key] = self._walker.starts
+        # The steps that built the highest table: one per parent, not a key per simplex.
+        self._frontier: List[_Step] = [((), tuple(self._walker.starts))]
         # Per degree d >= 1: how many children in table d each simplex of table d-1
         # has, and the last level of each simplex of table d.
         self._children: Dict[int, array] = {}
@@ -179,13 +180,13 @@ class Complex:
         # Many strings share a key; the memo lives for this build only.
         step = lru_cache(maxsize=None)(self._walker.step)
         for deg in range(self._built_to + 1, up_to + 1):
-            steps = list(map(step, self._frontier))
+            steps = list(map(step, chain.from_iterable(map(itemgetter(1), self._frontier))))
             self._children[deg] = array("H", map(len, map(itemgetter(0), steps)))
             self._lasts[deg] = _filled("H", chain.from_iterable(map(itemgetter(0), steps)))
             parents = self._with_children(deg, self._tables[deg - 1].codes)
             bases = self._per_child(deg, map(lshift, parents, repeat(self.bits)))
             self._tables[deg] = self._table(deg, map(or_, bases, self._lasts[deg]))
-            self._frontier = list(chain.from_iterable(map(itemgetter(1), steps)))
+            self._frontier = steps
             self._built_to = deg
 
     def face_indices(self, deg: int) -> FaceTable:

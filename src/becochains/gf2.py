@@ -16,18 +16,17 @@ __all__ = ["BitMatrix", "rank", "solve", "rowspace_basis"]
 class BitMatrix:
     """Matrix over GF(2) with rows packed into Python ints (bit j = column j)."""
 
-    def __init__(self, rows: int, cols: int, data: Optional[List[int]] = None):
+    def __init__(self, rows: int, cols: int, data: Optional[Iterable[int]] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.rows = rows
         self.cols = cols
-        if data is None:
-            self.data = [0] * rows
-        else:
-            if len(data) != rows:
-                raise ValueError("row count mismatch")
-            mask = (1 << cols) - 1
-            self.data = [r & mask for r in data]
+        # The rows are kept, not copied; r >> cols is nonzero for a negative row or a wide one.
+        self.data = [0] * rows if data is None else list(data)
+        if len(self.data) != rows:
+            raise ValueError("row count mismatch")
+        if any(r >> cols for r in self.data):
+            raise ValueError(f"a row is not a bitset over {cols} columns")
 
     def transpose(self) -> "BitMatrix":
         out = [0] * self.cols

@@ -30,9 +30,9 @@ from .algebras import (
 from .cochains import (
     F2Cochain,
     _back_image,
+    _coface_masks,
     _front_image,
     ar,
-    coboundary_matrix,
     cup1,
     omega,
     pullback,
@@ -286,8 +286,9 @@ def random_gauge(seed: int) -> HomWH:
 @lru_cache(maxsize=None)
 def _im_d1_basis() -> Tuple[int, ...]:
     """Echelon row basis of the space of degree-2 coboundaries (as bit rows)."""
-    m1 = coboundary_matrix(get_complex(4, 2), 1)
-    return tuple(rowspace_basis(m1.transpose()))
+    cx = get_complex(4, 2)
+    masks = _coface_masks(cx, 1)
+    return tuple(rowspace_basis(BitMatrix(len(masks), len(cx.index(2)), masks)))
 
 
 def validates_class(c: F2Cochain, row: int) -> bool:

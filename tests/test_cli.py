@@ -222,6 +222,36 @@ def test_non_cocycle_error_cochain_is_inconclusive(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_non_cocycle_error_cochain_under_a_gauge_is_inconclusive(capsys, monkeypatch):
+    from becochains import obstruction
+    from becochains.algebras import w_basis
+    from becochains.cochains import F2Cochain
+
+    real_phi1 = obstruction.phi1
+    u = w_basis(4, 1)[-1]
+
+    def broken_phi1(w):
+        c = real_phi1(w)
+        return c + F2Cochain(c.cx, 1, 1) if w == u else c
+
+    # Both the plain and the gauge-shifted error cochains read the broken phi1.
+    monkeypatch.setattr(obstruction, "phi1", broken_phi1)
+    obstruction._phi_d_table.cache_clear()
+    obstruction.alpha_hom.cache_clear()
+    try:
+        code, out, err = run(capsys, "obstruct", "--gauge-seed", "42")
+    finally:
+        obstruction._phi_d_table.cache_clear()
+        obstruction.alpha_hom.cache_clear()
+    assert code == 1
+    lines = out.splitlines()
+    assert any(line.startswith("FAIL phi-d-cocycles: ") for line in lines)
+    assert "FAIL gauge-alpha-shift: expected=True computed=False [derived]" in lines
+    assert lines[-1] == "verdict: INCONCLUSIVE"
+    assert "failing check: gauge-alpha-shift " in err
+    assert "Traceback" not in err
+
+
 def test_non_closed_gauge_shift_is_inconclusive(capsys, monkeypatch):
     from becochains import cli
     from becochains.algebras import HomWH

@@ -172,6 +172,8 @@ def test_tables_extend_in_place():
     cx.index(1)
     rows = cx.face_indices(1)
     cx.index(6)
+    # The next extension reads one walker step per parent, not one key per simplex.
+    assert len(cx._frontier) == len(cx.index(5))
     straight = Complex(4, 2)
     straight.index(6)
     assert [list(cx.index(d).codes) for d in range(7)] == [

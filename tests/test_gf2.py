@@ -170,6 +170,19 @@ def test_results_are_deterministic(shape):
         assert m.data == data  # inputs are not mutated
 
 
+def test_rows_are_kept_not_copied():
+    # Wide rows, so that equal values would still be distinct objects after a copy.
+    rows = [1 << 200 | 5, 1 << 199, (1 << 201) - 1]
+    m = BitMatrix(3, 201, rows)
+    assert all(m.data[i] is rows[i] for i in range(3))
+
+
+@pytest.mark.parametrize("row", [-1, -(1 << 40), 1 << 8, 1 << 8 | 1, 1 << 60])
+def test_rows_outside_the_columns_raise(row):
+    with pytest.raises(ValueError):
+        BitMatrix(2, 8, [0b1, row])
+
+
 def test_transpose_roundtrip_and_entries():
     m = BitMatrix(2, 3, [0b101, 0b110])
     assert m.rows == 2 and m.cols == 3
