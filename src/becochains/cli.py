@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -368,7 +369,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         report = cmd_obstruct(args.gauge_seed)
 
-    sys.stdout.write(report.render(args.format))
+    try:
+        sys.stdout.write(report.render(args.format))
+        sys.stdout.flush()
+    except OSError as exc:
+        # The unwritten buffer would fail again when the interpreter flushes it at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     if args.emit:
         emit_fmt = "json" if args.emit.endswith(".json") else args.format

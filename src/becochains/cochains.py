@@ -92,7 +92,7 @@ def zero(cx: Complex, degree: int) -> F2Cochain:
 
 
 def from_simplices(cx: Complex, simplices: Iterable[Simplex]) -> F2Cochain:
-    """Cochain supported on the given simplices (all of one degree)."""
+    """The sum of the given simplices (all of one degree): a repeated simplex cancels."""
     sims = list(simplices)
     if not sims:
         raise ValueError("degree is ambiguous for an empty set; use zero(cx, degree)")
@@ -101,32 +101,29 @@ def from_simplices(cx: Complex, simplices: Iterable[Simplex]) -> F2Cochain:
         raise ValueError("simplices must share one degree")
     deg = degs.pop()
     tbl = cx.index(deg)
-    return F2Cochain(cx, deg, reduce(or_, (1 << tbl.index_of(s) for s in sims)))
+    return F2Cochain(cx, deg, reduce(xor, (1 << tbl.index_of(s) for s in sims)))
 
 
-# Maps a 0/1 byte to the ASCII digit, to read a bytearray of flags as a numeral.
-_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+def _masks(columns: Iterable[Sequence[int]], n: int) -> List[int]:
+    """masks[v] for v < n: the int whose bit s is set when an odd number of columns hold v at s.
 
-
-def _bitset(flags: bytearray) -> int:
-    """The int whose bit i is flags[i], each flag 0 or 1."""
-    # Highest index first: the flags read as a binary numeral are the bitset.
-    return int(flags[::-1].translate(_BIT_CHARS) or b"0", 2)
+    A -1 (a degenerate face) lands in a trailing slot, dropped at the end.
+    """
+    masks = [0] * (n + 1)
+    for column in columns:
+        for s, v in enumerate(column):
+            masks[v] ^= 1 << s
+    masks.pop()
+    return masks
 
 
 @lru_cache(maxsize=None)
 def _coface_masks(cx: Complex, deg: int) -> List[int]:
     """Per degree-deg simplex, the int bitset of its cofaces mod 2: n_deg x n_{deg+1} bits.
 
-    A face occurring twice in one simplex cancels. The -1 of a degenerate face
-    lands in a trailing slot, dropped at the end.
+    A face occurring twice in one simplex cancels.
     """
-    masks = [0] * (len(cx.index(deg)) + 1)
-    for column in cx.face_indices(deg + 1).columns:
-        for s, f in enumerate(column):
-            masks[f] ^= 1 << s
-    masks.pop()
-    return masks
+    return _masks(cx.face_indices(deg + 1).columns, len(cx.index(deg)))
 
 
 def coboundary(c: F2Cochain) -> F2Cochain:
@@ -143,12 +140,8 @@ def coboundary(c: F2Cochain) -> F2Cochain:
 def _cup_masks(cx: Complex, p: int, q: int) -> Tuple[List[int], List[int]]:
     """Per p-simplex the degree p+q simplices with it in front, per q-simplex at the back."""
     fronts, backs = cx.front_back(p, q)
-    front_masks = [0] * len(cx.index(p))
-    back_masks = [0] * len(cx.index(q))
-    for s, (f, b) in enumerate(zip(fronts, backs)):
-        front_masks[f] |= 1 << s
-        back_masks[b] |= 1 << s
-    return front_masks, back_masks
+    # A column holds each position once, so the parity of a position is its presence.
+    return _masks([fronts], len(cx.index(p))), _masks([backs], len(cx.index(q)))
 
 
 def _front_image(a: F2Cochain, q: int) -> int:
@@ -186,14 +179,8 @@ def _level_masks(cx: Complex, deg: int) -> List[List[int]]:
     """masks[m][a]: the degree-deg simplices whose level m is cx.perms[a]."""
     codes = cx.index(deg).codes
     low = (1 << cx.bits) - 1
-    masks = []
-    for m in range(deg + 1):
-        shift = cx.bits * (deg - m)
-        flags = [bytearray(len(codes)) for _ in cx.perms]
-        for s, code in enumerate(codes):
-            flags[code >> shift & low][s] = 1
-        masks.append(list(map(_bitset, flags)))
-    return masks
+    return [_masks([[code >> cx.bits * (deg - m) & low for code in codes]], len(cx.perms))
+            for m in range(deg + 1)]
 
 
 def pullback(target: Complex, tag: Sequence[int], c: F2Cochain) -> F2Cochain:

@@ -31,10 +31,8 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= 1 << i
-                r ^= low
+            for j in _bits(r):
+                out[j] |= 1 << i
         return BitMatrix(self.cols, self.rows, out)
 
     def __eq__(self, other: object) -> bool:

@@ -234,6 +234,14 @@ def test_homwh_rejects_rows_outside_the_target_basis():
     assert HomWH(4, 2, 2, [(1 << 11) - 1] * n).rows[-1] == 2047
 
 
+def test_negative_lengths_are_value_errors():
+    # A level-L generator is a word of length L + 1, so level -2 asks for length -1.
+    for call in (lambda: arnold_basis(4, -1), lambda: yb_basis(4, -1),
+                 lambda: w_basis(4, -2), lambda: HomWH(4, -2, 1, [])):
+        with pytest.raises(ValueError, match="length -1 is negative"):
+            call()
+
+
 def test_tau_convolution_square_vanishes():
     t = tau(4)
     assert convolution(t, t).is_zero()

@@ -1,6 +1,10 @@
 """Command line reports: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,21 @@ def test_emit_to_missing_directory_exits_two(capsys, tmp_path):
     assert err.startswith(f"error: cannot write {target}: ")
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def test_unwritable_stdout_exits_two():
+    # A pipe whose read end is closed before the command starts: every write fails.
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "becochains.cli", "obstruct", "--format", "json"]
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
 def test_flipped_alpha_bit_is_inconclusive(capsys, monkeypatch):

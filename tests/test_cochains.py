@@ -333,6 +333,13 @@ def test_cochain_text_roundtrip():
     assert cochain_text(parse_cochain(cx, text)) == text
 
 
+def test_repeated_simplices_cancel():
+    cx = get_complex(3, 2)
+    a, b = "132|312", "123|321"
+    assert parse_cochain(cx, f"{a} + {a}", 1) == zero(cx, 1)
+    assert parse_cochain(cx, f"{a} + {b} + {a}", 1) == parse_cochain(cx, b)
+
+
 def test_simplex_outside_the_table_is_a_value_error():
     cx = get_complex(2, 2)
     # 12|21|12 swaps the labels twice, past the complexity-2 budget.
