@@ -116,6 +116,8 @@ def yb_normalize(raw: Sequence[Sequence[int]]) -> Element:
 @lru_cache(maxsize=None)
 def arnold_basis(k: int, length: int) -> Tuple[Word, ...]:
     """Admissible Arnold monomials of the given length, lexicographically."""
+    if k < 2:
+        raise ValueError(f"arity {k} is below 2")
     if length < 0:
         raise ValueError(f"length {length} is negative")
     if length == 0:
@@ -130,6 +132,8 @@ def arnold_basis(k: int, length: int) -> Tuple[Word, ...]:
 @lru_cache(maxsize=None)
 def yb_basis(k: int, length: int) -> Tuple[Word, ...]:
     """Admissible Yang-Baxter words of the given length, lexicographically."""
+    if k < 2:
+        raise ValueError(f"arity {k} is below 2")
     if length < 0:
         raise ValueError(f"length {length} is negative")
     if length == 0:

@@ -13,8 +13,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
-from operator import and_, getitem, itemgetter, lshift, or_
-from struct import pack
+from operator import getitem, itemgetter, lshift, mul, or_
+from struct import Struct, pack
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .perms import Perm, all_perms, ordered_pairs, pair_flags
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 Simplex = Tuple[Perm, ...]
-_Key = Tuple[int, ...]
-_Step = Tuple[Tuple[int, ...], Tuple[_Key, ...]]
+_Step = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 SUPPORTED_T = (2, 3)
 MAX_ENUM_ARITY = 6
@@ -46,8 +45,9 @@ def is_nondegenerate(s: Simplex) -> bool:
 class _Walker:
     """The swap budgets of one (k, t), applied to a string one level at a time.
 
-    How a string extends depends only on its key: the index of its last
-    level, then for i = 1..t-1 the mask of label pairs (bit b for pair b of
+    How a string extends depends only on its key, one int: the index of its
+    last level in the low `bits` bits, then for i = 1..t-1 a field of
+    k(k-1)/2 bits, the mask of label pairs (bit b for pair b of
     ordered_pairs) whose order has changed at least i times along it.
     """
 
@@ -59,21 +59,26 @@ class _Walker:
         self.perms = all_perms(k)
         pairs = ordered_pairs(k)
         self._flags = [pair_flags(p, pairs) for p in self.perms]
-        self.starts = [(i,) + (0,) * (t - 1) for i in range(len(self.perms))]
+        self.bits = max(1, (len(self.perms) - 1).bit_length())
+        width = len(pairs)
+        self._width, self._top = width, width * (t - 2) + self.bits
+        # changed * _rep copies a pair mask into every field; _ones is field 1 all set.
+        self._rep = sum(1 << (width * i + self.bits) for i in range(t - 1))
+        self._ones = ((1 << width) - 1) << self.bits
 
-    def step(self, key: _Key) -> _Step:
+    def step(self, key: int) -> _Step:
         """The next levels the swap budgets allow, by increasing index, and their keys."""
-        cur, *swapped = key
-        here = self._flags[cur]
-        most, fewer = swapped[-1], [-1] + swapped
+        fields = key >> self.bits << self.bits
+        here, most, rep = self._flags[key ^ fields], key >> self._top, self._rep
+        # A pair that had changed order i-1 times and changes now has changed i times.
+        carry = (fields << self._width) | self._ones
         nexts, keys = [], []
         for nxt, flags in enumerate(self._flags):
+            # Distinct levels differ in some pair's order: changed is 0 only for a repeat.
             changed = flags ^ here
-            if nxt == cur or changed & most:
-                continue
-            nexts.append(nxt)
-            # A pair that had changed order i-1 times and changes now has changed i times.
-            keys.append((nxt, *map(or_, swapped, map(and_, fewer, repeat(changed)))))
+            if changed and not changed & most:
+                nexts.append(nxt)
+                keys.append(fields | (carry & changed * rep) | nxt)
         return tuple(nexts), tuple(keys)
 
 
@@ -139,12 +144,12 @@ class Complex:
         self.k = k
         self.t = t
         self.perms = self._walker.perms
-        self.bits = max(1, (len(self.perms) - 1).bit_length())
+        self.bits = self._walker.bits
         self.top_degree = (t - 1) * (k * (k - 1) // 2)
         self._tables: Dict[int, ComplexIndex] = {0: self._table(0, range(len(self.perms)))}
         self._built_to = 0
         # The steps that built the highest table: one per parent, not a key per simplex.
-        self._frontier: List[_Step] = [((), tuple(self._walker.starts))]
+        self._frontier: List[_Step] = [((), tuple(range(len(self.perms))))]
         # Per degree d >= 1: how many children in table d each simplex of table d-1
         # has, and the last level of each simplex of table d.
         self._children: Dict[int, array] = {}
@@ -183,8 +188,8 @@ class Complex:
             steps = list(map(step, chain.from_iterable(map(itemgetter(1), self._frontier))))
             self._children[deg] = array("H", map(len, map(itemgetter(0), steps)))
             self._lasts[deg] = _filled("H", chain.from_iterable(map(itemgetter(0), steps)))
-            parents = self._with_children(deg, self._tables[deg - 1].codes)
-            bases = self._per_child(deg, map(lshift, parents, repeat(self.bits)))
+            shifted = map(lshift, self._tables[deg - 1].codes, repeat(self.bits))
+            bases = self._per_child(deg, shifted)
             self._tables[deg] = self._table(deg, map(or_, bases, self._lasts[deg]))
             self._frontier = steps
             self._built_to = deg
@@ -209,7 +214,7 @@ class Complex:
         """
         self.index(deg)  # builds the table, its child counts and last levels
         lasts = self._lasts[deg]
-        parents = _filled("i", self._per_child(deg, self._with_children(deg, count())))
+        parents = self._iterated_face(deg, 1, -1)
         if deg == 1:
             return array("i", lasts), parents
         below = self.face_indices(deg - 1).columns
@@ -217,22 +222,29 @@ class Complex:
         # children, and the trailing row read by a degenerate d_m x (-1), share one row.
         none = [-1] * (1 << self.bits)
         slots = [[-1] * len(none) if c else none for c in self._children[deg - 1]] + [none]
-        parent_rows = self._per_child(deg - 1, self._with_children(deg - 1, slots))
+        parent_rows = self._per_child(deg - 1, slots)
         for row, n, i in zip(parent_rows, self._lasts[deg - 1], count()):
             row[n] = i
         cols = []
         for column in below:
-            rows = self._per_child(deg, map(slots.__getitem__, self._with_children(deg, column)))
+            rows = self._per_child(deg, map(slots.__getitem__, column))
             cols.append(_filled("i", map(getitem, rows, lasts)))
         return (*cols, parents)
 
-    def _with_children(self, deg: int, values: Iterable) -> Iterator:
-        """Of values, one per simplex of table deg-1, those of the simplices with children."""
-        return compress(values, self._children[deg])
-
     def _per_child(self, deg: int, values: Iterable) -> Iterator:
-        """Of values, one per simplex of table deg-1 with children, each once per child."""
-        return chain.from_iterable(map(repeat, values, filter(None, self._children[deg])))
+        """Of values, one per simplex of table deg-1, each once per child in table deg."""
+        # compress skips the childless, most of a table near the top degree.
+        children = self._children[deg]
+        return chain.from_iterable(map(repeat, compress(values, children), filter(None, children)))
+
+    def _repeated(self, deg: int, values: array) -> array:
+        """_per_child of ints as an array('i'): each value is packed once, its bytes repeated."""
+        self.index(deg)  # builds the child counts
+        out, pieces = array("i"), map(mul, map(Struct("i").pack, values), self._children[deg])
+        # Joined in chunks: all the pieces at once would hold their bytes twice over.
+        while chunk := list(islice(pieces, 1 << 14)):
+            out.frombytes(b"".join(chunk))
+        return out
 
     def front_back(self, p: int, q: int) -> Tuple[array, array]:
         """Front p-face and back q-face indices for every degree p+q simplex."""
@@ -245,17 +257,20 @@ class Complex:
     def _iterated_face(self, deg: int, times: int, m: int) -> array:
         """Face m (0 or -1, the last) applied `times` times to every degree-deg simplex.
 
-        Each step is cached, so every (p, q) with one p + q shares them; a
-        single step is the stored face column itself.
+        Each step is cached, so every (p, q) with one p + q shares them. The
+        last face of (x, n) is x: applied `times` times, it is the parent's
+        applied `times - 1` times, repeated once per child.
         """
+        if times == 0:
+            return array("i", range(len(self.index(deg))))
         key = (deg, times, m)
         if key not in self._iterated:
-            if times == 0:
-                col = array("i", range(len(self.index(deg))))
+            if m == -1:
+                col = self._repeated(deg, self._iterated_face(deg - 1, times - 1, -1))
             else:
-                col = self.face_indices(deg - times + 1).columns[m]
+                col = self.face_indices(deg - times + 1).columns[0]
                 if times > 1:
-                    inner = self._iterated_face(deg, times - 1, m)
+                    inner = self._iterated_face(deg, times - 1, 0)
                     col = _filled("i", map(col.tolist().__getitem__, inner))
             self._iterated[key] = col
         return self._iterated[key]
@@ -291,10 +306,10 @@ def count_by_degree(k: int, t: int, max_degree: int) -> List[int]:
     top = (t - 1) * (k * (k - 1) // 2)
     if max_degree < 0 or max_degree > top:
         raise ValueError(f"max degree must be in 0..{top}")
-    level = {w.starts[0]: 1}  # the identity is lexicographically first
+    level = {0: 1}  # the identity is lexicographically first, and its key is 0
     counts = [1]
     for _ in range(max_degree):
-        nxt: Dict[_Key, int] = defaultdict(int)
+        nxt: Dict[int, int] = defaultdict(int)
         for key, n in level.items():
             for next_key in w.step(key)[1]:
                 nxt[next_key] += n

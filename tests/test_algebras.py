@@ -242,6 +242,14 @@ def test_negative_lengths_are_value_errors():
             call()
 
 
+def test_arities_below_two_are_value_errors():
+    for call in (lambda: arnold_basis(-1, 1), lambda: arnold_basis(1, 0),
+                 lambda: yb_basis(0, 2), lambda: w_basis(1, 0),
+                 lambda: tau(-1), lambda: tau(0), lambda: tau(1)):
+        with pytest.raises(ValueError, match=r"arity -?\d is below 2"):
+            call()
+
+
 def test_tau_convolution_square_vanishes():
     t = tau(4)
     assert convolution(t, t).is_zero()

@@ -66,6 +66,8 @@ def test_t2_counts_match_weak_order_chains():
         if t == 2:
             assert weak_order_counts(k, len(table) - 1) == table
     assert count_by_degree(5, 2, 4) == weak_order_counts(5, 4)
+    # The widest walker key: 720 levels and 15 label pairs.
+    assert count_by_degree(6, 2, 3) == weak_order_counts(6, 3)
 
 
 def test_counts_divisible_by_group_order():
@@ -115,7 +117,7 @@ def _brute_force_tables(k, t, top):
     return out
 
 
-@pytest.mark.parametrize("k, t, top", [(3, 2, 3), (4, 2, 6), (3, 3, 4)])
+@pytest.mark.parametrize("k, t, top", [(3, 2, 3), (4, 2, 6), (3, 3, 4), (4, 3, 2)])
 def test_tables_match_brute_force_references(k, t, top):
     cx = Complex(k, t)
     for d, sims in enumerate(_brute_force_tables(k, t, top)):
