@@ -82,35 +82,26 @@ def yb_normalize(raw: Sequence[Sequence[int]]) -> Element:
 
     An adjacent descent in second indices is rewritten: disjoint factors
     commute; overlapping ones produce the two extra quadratic terms of the
-    Yang-Baxter relation. The second-index multiset strictly decreases, so
-    rewriting terminates; a loud bound guards against regressions.
+    Yang-Baxter relation. A rewrite raises the second index right of the
+    descent and keeps later ones, so it ends (a runaway raises RecursionError).
     """
-    start = tuple(_normpair(a, b) for a, b in raw)
-    acc: set = set()
-    pending = {start}
-    steps = 0
-    while pending:
-        steps += 1
-        if steps > MAX_REWRITE_STEPS:
-            raise RuntimeError("rewriting did not terminate within the step bound")
-        word = min(pending)
-        pending.discard(word)
-        m = next(
-            (m for m in range(len(word) - 1) if word[m][1] > word[m + 1][1]),
-            None,
-        )
-        if m is None:
-            acc ^= {word}
-            continue
-        (i, j), (u, v) = word[m], word[m + 1]
-        head, tail = word[:m], word[m + 2:]
-        repls = [((u, v), (i, j))]
-        if {i, j} & {u, v}:
-            repls.append(((u, j), (v, j)))
-            repls.append((((v, j), (u, j))))
-        for repl in repls:
-            pending ^= {head + repl + tail}
-    return frozenset(acc)
+    return _yb_rewrite(tuple(_normpair(a, b) for a, b in raw))
+
+
+def _yb_rewrite(word: Word) -> Element:
+    """yb_normalize of a word of normalized pairs: rewrite its leftmost descent, recurse."""
+    for m in range(len(word) - 1):
+        if word[m][1] > word[m + 1][1]:
+            break
+    else:
+        return frozenset({word})
+    (i, j), (u, v) = word[m], word[m + 1]
+    head, tail = word[:m], word[m + 2:]
+    out = _yb_rewrite(head + ((u, v), (i, j)) + tail)
+    if {i, j} & {u, v}:
+        out ^= _yb_rewrite(head + ((u, j), (v, j)) + tail)
+        out ^= _yb_rewrite(head + ((v, j), (u, j)) + tail)
+    return out
 
 
 @lru_cache(maxsize=None)

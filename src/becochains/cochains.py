@@ -8,11 +8,12 @@ distinction is semantic (pairing treats one argument as each).
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import compress
 from operator import and_, getitem, or_, xor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import Complex, Simplex, get_complex, simplex_from_text, simplex_text
-from .gf2 import BitMatrix, _bits
+from .gf2 import BitMatrix, _bits, _flags
 from .perms import project
 
 __all__ = [
@@ -133,7 +134,7 @@ def coboundary(c: F2Cochain) -> F2Cochain:
         # The next cochain group vanishes, so the coboundary is zero there.
         return F2Cochain(cx, c.degree + 1)
     masks = _coface_masks(cx, c.degree)
-    return F2Cochain(cx, c.degree + 1, reduce(xor, map(masks.__getitem__, _bits(c.support)), 0))
+    return F2Cochain(cx, c.degree + 1, reduce(xor, compress(masks, _flags(c.support)), 0))
 
 
 @lru_cache(maxsize=None)
@@ -146,12 +147,12 @@ def _cup_masks(cx: Complex, p: int, q: int) -> Tuple[List[int], List[int]]:
 
 def _front_image(a: F2Cochain, q: int) -> int:
     """Degree p+q simplices whose front p-face lies in the support of the p-cochain a."""
-    return reduce(or_, map(_cup_masks(a.cx, a.degree, q)[0].__getitem__, _bits(a.support)), 0)
+    return reduce(or_, compress(_cup_masks(a.cx, a.degree, q)[0], _flags(a.support)), 0)
 
 
 def _back_image(b: F2Cochain, p: int) -> int:
     """Degree p+q simplices whose back q-face lies in the support of the q-cochain b."""
-    return reduce(or_, map(_cup_masks(b.cx, p, b.degree)[1].__getitem__, _bits(b.support)), 0)
+    return reduce(or_, compress(_cup_masks(b.cx, p, b.degree)[1], _flags(b.support)), 0)
 
 
 def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:

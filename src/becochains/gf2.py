@@ -58,6 +58,14 @@ def _bits(v: int) -> List[int]:
     return out
 
 
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(v: int) -> bytes:
+    """One byte per bit of v >= 0, lowest first, 1 where set: compress() selects by it."""
+    return bin(v)[:1:-1].encode().translate(_FLAG_BYTES)
+
+
 def _pivot_basis(rows: Iterable[int]) -> Dict[int, int]:
     """Echelon basis of the span of rows: pivot column -> row with that highest bit.
 

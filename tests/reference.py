@@ -4,7 +4,8 @@ Each works on raw tuples, ints and frozensets (apply reads only the fields
 of a map) and is written out from its definition, sharing no code with what
 the tests check. The one package function called here is arnold_normalize,
 which arnold_mult extends bilinearly; the test that compares the package
-with arnold_mult checks convolution, not arnold_normalize.
+with arnold_mult checks convolution, not arnold_normalize. The Yang-Baxter
+oracle rewrites from a worklist where the package recurses.
 """
 
 from collections import defaultdict
@@ -103,6 +104,42 @@ def arnold_mult(x, y):
     for a in x:
         for b in y:
             acc ^= arnold_normalize(a + b)
+    return frozenset(acc)
+
+
+def yb_worklist_normalize(raw):
+    """Admissible Yang-Baxter expansion by a worklist, not by recursion.
+
+    The leftmost descent of the smallest pending word is rewritten; a word
+    reached twice cancels. Pairs are ordered here, with no package code.
+    """
+    if any(a == b for a, b in raw):
+        raise ValueError("generator indices must be distinct")
+    start = tuple((min(a, b), max(a, b)) for a, b in raw)
+    acc = set()
+    pending = {start}
+    steps = 0
+    while pending:
+        steps += 1
+        if steps > 10 ** 6:
+            raise RuntimeError("rewriting did not terminate within the step bound")
+        word = min(pending)
+        pending.discard(word)
+        m = next(
+            (m for m in range(len(word) - 1) if word[m][1] > word[m + 1][1]),
+            None,
+        )
+        if m is None:
+            acc ^= {word}
+            continue
+        (i, j), (u, v) = word[m], word[m + 1]
+        head, tail = word[:m], word[m + 2:]
+        repls = [((u, v), (i, j))]
+        if {i, j} & {u, v}:
+            repls.append(((u, j), (v, j)))
+            repls.append((((v, j), (u, j))))
+        for repl in repls:
+            pending ^= {head + repl + tail}
     return frozenset(acc)
 
 

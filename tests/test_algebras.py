@@ -21,7 +21,13 @@ from becochains.algebras import (
     yb_basis,
     yb_normalize,
 )
-from reference import apply, arnold_mult, is_admissible_arnold, is_admissible_yb
+from reference import (
+    apply,
+    arnold_mult,
+    is_admissible_arnold,
+    is_admissible_yb,
+    yb_worklist_normalize,
+)
 
 
 def words(text):
@@ -134,6 +140,30 @@ def test_yb_confluence_all_triples():
             a_bc = a_bc ^ yb_normalize((a,) + w)
         flat = yb_normalize((a, b, c))
         assert ab_c == a_bc == flat
+
+
+def test_yb_normalize_matches_the_worklist_oracle_on_every_split_product():
+    """All 1416 products u.v behind the split tables that certify reads."""
+    products = [u + v for lu, lv in ((2, 1), (1, 2), (1, 1), (3, 1), (1, 3))
+                for u in yb_basis(4, lu) for v in yb_basis(4, lv)]
+    assert len(products) == 1416
+    for w in products:
+        assert yb_normalize(w) == yb_worklist_normalize(w), w
+
+
+def test_yb_normalize_matches_the_worklist_oracle_on_raw_words():
+    """The anchors, unordered pairs, and every product of two or three generators."""
+    gens = [(i, j) for j in range(2, 5) for i in range(1, j)]
+    raws = [((1, 3), (1, 2)), ((1, 2), (2, 4), (2, 3)), ((3, 4), (1, 2)), ((3, 1), (2, 1)),
+            ((4, 3), (2, 4), (1, 2), (1, 3)), ()]
+    raws += list(product(gens, repeat=2)) + list(product(gens, repeat=3))
+    for raw in raws:
+        assert yb_normalize(raw) == yb_worklist_normalize(raw), raw
+    for bad in (((1, 1),), ((1, 2), (3, 3))):
+        with pytest.raises(ValueError):
+            yb_normalize(bad)
+        with pytest.raises(ValueError):
+            yb_worklist_normalize(bad)
 
 
 COPRODUCT_DISPLAYS = {

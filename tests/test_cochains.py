@@ -226,6 +226,39 @@ def test_front_and_back_images_match_pointwise_references_seeded():
                 assert back >> s_idx & 1 == b.support >> backs.index_of(s[p:]) & 1
 
 
+def edge_supports(cx, deg):
+    """The zero support, the highest simplex alone (bit n - 1), and every simplex."""
+    n = len(cx.index(deg))
+    return 0, 1 << (n - 1), (1 << n) - 1
+
+
+@pytest.mark.parametrize("k, t", [(3, 2), (4, 2), (3, 3)])
+def test_mask_selection_at_the_edge_supports(k, t):
+    """The byte view of a support selects no mask, only the last one, or all of them."""
+    cx = get_complex(k, t)
+    for deg in range(cx.top_degree):
+        for support in edge_supports(cx, deg):
+            c = F2Cochain(cx, deg, support)
+            assert coboundary(c).support == reference_coboundary(c), (deg, support)
+    for p, q in ((0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 1)):
+        target = cx.index(p + q).simplices()
+        fronts, backs = cx.index(p), cx.index(q)
+        for sa in edge_supports(cx, p):
+            a = F2Cochain(cx, p, sa)
+            front = _front_image(a, q)
+            assert front == sum(
+                (sa >> fronts.index_of(s[:p + 1]) & 1) << s_idx for s_idx, s in enumerate(target)
+            ), (p, q, sa)
+            for sb in edge_supports(cx, q):
+                b = F2Cochain(cx, q, sb)
+                assert cup(a, b).support == reference_cup(a, b), (p, q, sa, sb)
+        for sb in edge_supports(cx, q):
+            b = F2Cochain(cx, q, sb)
+            assert _back_image(b, p) == sum(
+                (sb >> backs.index_of(s[p:]) & 1) << s_idx for s_idx, s in enumerate(target)
+            ), (p, q, sb)
+
+
 def reference_pullback(target, tag, c):
     """Support of the pullback: the target simplices whose levelwise image lies in c."""
     support = set(c.simplices())
