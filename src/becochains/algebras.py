@@ -1,14 +1,17 @@
 """Arnold cohomology ring, Yang-Baxter algebra, dual generators and twisting cochain.
 
-Both algebras are handled in their admissible bases over GF(2):
-Arnold monomials have strictly increasing second indices, Yang-Baxter words
-non-decreasing ones. Elements are support sets of basis words.
+Both algebras are handled in their admissible bases over GF(2), built by one
+helper: Arnold monomials have strictly increasing second indices, Yang-Baxter
+words non-decreasing ones. Elements are support sets of basis words. Each
+normalizer rewrites the leftmost spot where a word is not admissible and XORs
+the expansions of the rewritten words. The twisting cochain tau is the
+identity on generators.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .gf2 import _bits
@@ -36,9 +39,6 @@ Pair = Tuple[int, int]
 Word = Tuple[Pair, ...]
 Element = FrozenSet[Word]
 
-MAX_REWRITE_STEPS = 10 ** 6
-
-
 def _normpair(a: int, b: int) -> Pair:
     if a == b:
         raise ValueError("generator indices must be distinct")
@@ -50,31 +50,24 @@ def arnold_normalize(raw: Sequence[Sequence[int]]) -> Element:
 
     Uses commutativity (sort by second index), squares vanishing, and the
     characteristic-two three-term relation to split equal second indices.
+    A split lowers one second index, so the rewriting ends.
     """
-    start = tuple(sorted((_normpair(a, b) for a, b in raw), key=lambda p: (p[1], p[0])))
-    acc: set = set()
-    pending = {start}
-    steps = 0
-    while pending:
-        steps += 1
-        if steps > MAX_REWRITE_STEPS:
-            raise RuntimeError("rewriting did not terminate within the step bound")
-        word = pending.pop()
-        if len(set(word)) != len(word):
-            continue  # a squared generator kills the monomial
-        m = next(
-            (m for m in range(len(word) - 1) if word[m][1] == word[m + 1][1]),
-            None,
-        )
-        if m is None:
-            acc ^= {word}
-            continue
-        (i1, j), (i2, _) = word[m], word[m + 1]
-        rest = word[:m] + word[m + 2:]
-        for repl in (((i1, i2), (i2, j)), ((i1, i2), (i1, j))):
-            new = tuple(sorted(rest + repl, key=lambda p: (p[1], p[0])))
-            pending ^= {new}
-    return frozenset(acc)
+    return _arnold_rewrite(tuple(_normpair(a, b) for a, b in raw))
+
+
+def _arnold_rewrite(word: Word) -> Element:
+    """arnold_normalize of a word of normalized pairs: order it, split its leftmost tie, recurse."""
+    word = tuple(sorted(word, key=lambda p: (p[1], p[0])))
+    if len(set(word)) != len(word):
+        return frozenset()  # a squared generator kills the monomial
+    for m in range(len(word) - 1):
+        if word[m][1] == word[m + 1][1]:
+            break
+    else:
+        return frozenset({word})
+    (i1, j), (i2, _) = word[m], word[m + 1]
+    rest = word[:m] + word[m + 2:]
+    return _arnold_rewrite(rest + ((i1, i2), (i2, j))) ^ _arnold_rewrite(rest + ((i1, i2), (i1, j)))
 
 
 def yb_normalize(raw: Sequence[Sequence[int]]) -> Element:
@@ -105,42 +98,26 @@ def _yb_rewrite(word: Word) -> Element:
 
 
 @lru_cache(maxsize=None)
+def _admissible_words(k: int, length: int, draw) -> Tuple[Word, ...]:
+    """The words whose second indices are one draw from 2..k, lexicographically: draw is
+    combinations (increasing) or combinations_with_replacement (non-decreasing)."""
+    if k < 2:
+        raise ValueError(f"arity {k} is below 2")
+    if length < 0:
+        raise ValueError(f"length {length} is negative")
+    gens = [tuple((i, j) for i in range(1, j)) for j in range(k + 1)]
+    return tuple(sorted(w for js in draw(range(2, k + 1), length)
+                        for w in product(*(gens[j] for j in js))))
+
+
 def arnold_basis(k: int, length: int) -> Tuple[Word, ...]:
     """Admissible Arnold monomials of the given length, lexicographically."""
-    if k < 2:
-        raise ValueError(f"arity {k} is below 2")
-    if length < 0:
-        raise ValueError(f"length {length} is negative")
-    if length == 0:
-        return ((),)
-    words = []
-    for js in combinations(range(2, k + 1), length):
-        for istuple in product(*(range(1, j) for j in js)):
-            words.append(tuple(zip(istuple, js)))
-    return tuple(sorted(words))
+    return _admissible_words(k, length, combinations)
 
 
-@lru_cache(maxsize=None)
 def yb_basis(k: int, length: int) -> Tuple[Word, ...]:
     """Admissible Yang-Baxter words of the given length, lexicographically."""
-    if k < 2:
-        raise ValueError(f"arity {k} is below 2")
-    if length < 0:
-        raise ValueError(f"length {length} is negative")
-    if length == 0:
-        return ((),)
-    words: List[Word] = []
-
-    def extend(prefix: Word, min_j: int):
-        if len(prefix) == length:
-            words.append(prefix)
-            return
-        for j in range(min_j, k + 1):
-            for i in range(1, j):
-                extend(prefix + ((i, j),), j)
-
-    extend((), 2)
-    return tuple(sorted(words))
+    return _admissible_words(k, length, combinations_with_replacement)
 
 
 def w_basis(k: int, level: int) -> Tuple[Word, ...]:
@@ -244,9 +221,11 @@ class HomWH:
 
 @lru_cache(maxsize=None)
 def tau(k: int = 4) -> HomWH:
-    """The twisting cochain: length-1 dual generators to the matching Arnold class."""
-    col = {m: c for c, m in enumerate(arnold_basis(k, 1))}
-    return HomWH(k, 0, 1, [1 << col[w] for w in w_basis(k, 0)])
+    """The twisting cochain: length-1 dual generators to the matching Arnold class.
+
+    w_basis(k, 0) and arnold_basis(k, 1) are the same words in the same order.
+    """
+    return HomWH(k, 0, 1, [1 << c for c in range(len(w_basis(k, 0)))])
 
 
 @lru_cache(maxsize=None)

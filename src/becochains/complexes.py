@@ -17,7 +17,7 @@ from operator import getitem, itemgetter, lshift, mul, or_
 from struct import Struct, pack
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .perms import Perm, all_perms, ordered_pairs, pair_flags
+from .perms import Perm, all_perms, ordered_pairs, pair_flags, perm_from_text, perm_text
 
 __all__ = [
     "Simplex",
@@ -61,6 +61,7 @@ class _Walker:
         self._flags = [pair_flags(p, pairs) for p in self.perms]
         self.bits = max(1, (len(self.perms) - 1).bit_length())
         width = len(pairs)
+        self.top_degree = (t - 1) * width  # every level step changes some pair's order
         self._width, self._top = width, width * (t - 2) + self.bits
         # changed * _rep copies a pair mask into every field; _ones is field 1 all set.
         self._rep = sum(1 << (width * i + self.bits) for i in range(t - 1))
@@ -145,7 +146,7 @@ class Complex:
         self.t = t
         self.perms = self._walker.perms
         self.bits = self._walker.bits
-        self.top_degree = (t - 1) * (k * (k - 1) // 2)
+        self.top_degree = self._walker.top_degree
         self._tables: Dict[int, ComplexIndex] = {0: self._table(0, range(len(self.perms)))}
         self._built_to = 0
         # The steps that built the highest table: one per parent, not a key per simplex.
@@ -303,7 +304,7 @@ def count_by_degree(k: int, t: int, max_degree: int) -> List[int]:
     how a string extends.
     """
     w = _Walker(k, t)
-    top = (t - 1) * (k * (k - 1) // 2)
+    top = w.top_degree
     if max_degree < 0 or max_degree > top:
         raise ValueError(f"max degree must be in 0..{top}")
     level = {0: 1}  # the identity is lexicographically first, and its key is 0
@@ -320,8 +321,6 @@ def count_by_degree(k: int, t: int, max_degree: int) -> List[int]:
 
 def simplex_from_text(text: str) -> Simplex:
     """Parse levels joined by "|", e.g. "132|312|231"."""
-    from .perms import perm_from_text
-
     levels = tuple(perm_from_text(part) for part in text.split("|"))
     if not levels:
         raise ValueError("empty simplex text")
@@ -331,6 +330,4 @@ def simplex_from_text(text: str) -> Simplex:
 
 
 def simplex_text(s: Simplex) -> str:
-    from .perms import perm_text
-
     return "|".join(perm_text(p) for p in s)

@@ -21,7 +21,6 @@ from .algebras import (
     Word,
     _product_table,
     arnold_basis,
-    arnold_normalize,
     coproduct_component,
     hochschild_d,
     tau,
@@ -204,8 +203,8 @@ def is_coboundary(a: HomWH) -> Optional[HomWH]:
 @lru_cache(maxsize=None)
 def _cap(a: Pair, m: int) -> int:
     """Transpose of multiplication by a: bit i is set when x_i . a holds quadratic monomial m."""
-    h = arnold_basis(4, 2)[m]
-    return sum(1 << i for i, x in enumerate(arnold_basis(4, 1)) if h in arnold_normalize(x + (a,)))
+    j = arnold_basis(4, 1).index((a,))
+    return sum(1 << i for i, row in enumerate(_product_table(4, 1, 1)) if row[j] >> m & 1)
 
 
 def _check_dual(z: int):

@@ -2,18 +2,15 @@
 
 Each works on raw tuples, ints and frozensets (apply reads only the fields
 of a map) and is written out from its definition, sharing no code with what
-the tests check. The one package function called here is arnold_normalize,
-which arnold_mult extends bilinearly; the test that compares the package
-with arnold_mult checks convolution, not arnold_normalize. The Yang-Baxter
-oracle rewrites from a worklist where the package recurses.
+the tests check: no package function is called here. Both normalizing
+oracles rewrite from a worklist where the package recurses, and arnold_mult
+extends the Arnold one bilinearly.
 """
 
 from collections import defaultdict
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
-
-from becochains.algebras import arnold_normalize
 
 # Permutations are one-line words (p(1), ..., p(k)); simplices are tuples of them.
 
@@ -98,12 +95,47 @@ def boundary(chain):
     return frozenset(out)
 
 
+def arnold_worklist_normalize(raw):
+    """Admissible Arnold expansion by a worklist, not by recursion.
+
+    Pairs are ordered by second index, a squared generator kills the
+    monomial, and the leftmost equal second indices split into two words; a
+    word reached twice cancels. Pairs are normalized here, with no package code.
+    """
+    if any(a == b for a, b in raw):
+        raise ValueError("generator indices must be distinct")
+    start = tuple(sorted(((min(a, b), max(a, b)) for a, b in raw), key=lambda p: (p[1], p[0])))
+    acc = set()
+    pending = {start}
+    steps = 0
+    while pending:
+        steps += 1
+        if steps > 10 ** 6:
+            raise RuntimeError("rewriting did not terminate within the step bound")
+        word = pending.pop()
+        if len(set(word)) != len(word):
+            continue  # a squared generator kills the monomial
+        m = next(
+            (m for m in range(len(word) - 1) if word[m][1] == word[m + 1][1]),
+            None,
+        )
+        if m is None:
+            acc ^= {word}
+            continue
+        (i1, j), (i2, _) = word[m], word[m + 1]
+        rest = word[:m] + word[m + 2:]
+        for repl in (((i1, i2), (i2, j)), ((i1, i2), (i1, j))):
+            new = tuple(sorted(rest + repl, key=lambda p: (p[1], p[0])))
+            pending ^= {new}
+    return frozenset(acc)
+
+
 def arnold_mult(x, y):
     """Bilinear product of two sets of admissible Arnold monomials."""
     acc = set()
     for a in x:
         for b in y:
-            acc ^= arnold_normalize(a + b)
+            acc ^= arnold_worklist_normalize(a + b)
     return frozenset(acc)
 
 

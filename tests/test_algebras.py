@@ -22,8 +22,10 @@ from becochains.algebras import (
     yb_normalize,
 )
 from reference import (
+    admissible_words,
     apply,
     arnold_mult,
+    arnold_worklist_normalize,
     is_admissible_arnold,
     is_admissible_yb,
     yb_worklist_normalize,
@@ -73,6 +75,31 @@ def test_arnold_associativity_quadratic():
         assert left == right
 
 
+def test_arnold_normalize_matches_the_worklist_oracle_on_basis_products():
+    """Every product of two basis monomials of total length at most 3, at k = 4 and 5."""
+    products = [u + v for k in (4, 5) for p in range(4) for q in range(4 - p)
+                for u in arnold_basis(k, p) for v in arnold_basis(k, q)]
+    assert len(products) == 1206
+    for w in products:
+        assert arnold_normalize(w) == arnold_worklist_normalize(w), w
+
+
+def test_arnold_normalize_matches_the_worklist_oracle_on_raw_words():
+    """Unordered pairs, the squares of the k = 5 basis, and every k = 5 generator triple."""
+    gens = [(i, j) for j in range(2, 6) for i in range(1, j)]
+    raws = [((2, 3), (1, 3)), ((3, 1), (2, 1)), ((4, 3), (2, 4), (1, 2), (1, 3)),
+            ((5, 1), (3, 5), (2, 5), (4, 5)), ()]
+    raws += [w + w for length in range(5) for w in arnold_basis(5, length)]
+    raws += list(product(gens, repeat=3))
+    for raw in raws:
+        assert arnold_normalize(raw) == arnold_worklist_normalize(raw), raw
+    for bad in (((1, 1),), ((1, 2), (3, 3))):
+        with pytest.raises(ValueError):
+            arnold_normalize(bad)
+        with pytest.raises(ValueError):
+            arnold_worklist_normalize(bad)
+
+
 def poincare_dims_arnold(k, length):
     """Coefficient of x^length in prod_m (1 + m x) for m = 1..k-1."""
     coeffs = [1]
@@ -99,6 +126,11 @@ def test_dims_against_closed_forms():
         for length in range(5):
             assert len(arnold_basis(k, length)) == poincare_dims_arnold(k, length)
             assert len(yb_basis(k, length)) == poincare_dims_yb(k, length)
+    # The order too: the rows and columns of every table and report follow it.
+    for k in (2, 3, 4, 5):
+        for length in range(4):
+            assert arnold_basis(k, length) == admissible_words(k, length, is_admissible_arnold)
+            assert yb_basis(k, length) == admissible_words(k, length, is_admissible_yb)
 
 
 def test_basis_lengths_match_dims():

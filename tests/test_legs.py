@@ -24,8 +24,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 PRIMITIVES = frozenset({
     # the bases and the normalizers behind them
-    "algebras.arnold_basis", "algebras.yb_basis", "algebras.w_basis",
-    "algebras.arnold_normalize", "algebras.yb_normalize", "algebras._yb_rewrite",
+    "algebras.arnold_basis", "algebras.yb_basis", "algebras._admissible_words",
+    "algebras.w_basis", "algebras.arnold_normalize", "algebras._arnold_rewrite",
+    "algebras.yb_normalize", "algebras._yb_rewrite",
     "algebras._normpair",
     # the coproduct splits, the Arnold products and the twisting cochain
     "algebras._split_table", "algebras.coproduct_component",
