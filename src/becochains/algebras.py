@@ -2,17 +2,19 @@
 
 Both algebras are handled in their admissible bases over GF(2), built by one
 helper: Arnold monomials have strictly increasing second indices, Yang-Baxter
-words non-decreasing ones. Elements are support sets of basis words. Each
-normalizer rewrites the leftmost spot where a word is not admissible and XORs
-the expansions of the rewritten words. The twisting cochain tau is the
-identity on generators.
+words non-decreasing ones. Elements are support sets of basis words. The
+Arnold normalizer rewrites the leftmost tie of second indices and recurses; a
+Yang-Baxter product is built by right multiplication with one generator at a
+time, whose result on an admissible word is explicit. The twisting cochain tau
+is the identity on generators.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, product
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from operator import xor
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .gf2 import _bits
 
@@ -71,29 +73,33 @@ def _arnold_rewrite(word: Word) -> Element:
 
 
 def yb_normalize(raw: Sequence[Sequence[int]]) -> Element:
-    """Admissible-basis expansion of a product of Yang-Baxter generators.
+    """Admissible-basis expansion of a product of Yang-Baxter generators, built
+    from the empty word by right multiplication with one generator at a time."""
+    acc: Set[Word] = {()}
+    for a, b in raw:
+        g = _normpair(a, b)
+        acc = reduce(xor, (_yb_times(x, g) for x in acc), set())
+    return frozenset(acc)
 
-    An adjacent descent in second indices is rewritten: disjoint factors
-    commute; overlapping ones produce the two extra quadratic terms of the
-    Yang-Baxter relation. A rewrite raises the second index right of the
-    descent and keeps later ones, so it ends (a runaway raises RecursionError).
+
+def _yb_times(x: Word, g: Pair) -> Set[Word]:
+    """The admissible words of x . g, for an admissible word x and a generator g = (u, v).
+
+    g moves left past the trailing letters of x with a second index above v;
+    passing a letter (i, j) that shares a label with g also puts the extra
+    Yang-Baxter terms (u, j)(v, j) + (v, j)(u, j) in its place. Every word so
+    formed is admissible, so nothing is left to rewrite.
     """
-    return _yb_rewrite(tuple(_normpair(a, b) for a, b in raw))
-
-
-def _yb_rewrite(word: Word) -> Element:
-    """yb_normalize of a word of normalized pairs: rewrite its leftmost descent, recurse."""
-    for m in range(len(word) - 1):
-        if word[m][1] > word[m + 1][1]:
-            break
-    else:
-        return frozenset({word})
-    (i, j), (u, v) = word[m], word[m + 1]
-    head, tail = word[:m], word[m + 2:]
-    out = _yb_rewrite(head + ((u, v), (i, j)) + tail)
-    if {i, j} & {u, v}:
-        out ^= _yb_rewrite(head + ((u, j), (v, j)) + tail)
-        out ^= _yb_rewrite(head + ((v, j), (u, j)) + tail)
+    u, v = g
+    m = len(x)
+    while m and x[m - 1][1] > v:
+        m -= 1
+    out = {x[:m] + (g,) + x[m:]}
+    for t in range(m, len(x)):
+        i, j = x[t]
+        if i == u or i == v:  # j > v > u, so i alone can meet g
+            head, tail = x[:t], x[t + 1:]
+            out ^= {head + ((u, j), (v, j)) + tail, head + ((v, j), (u, j)) + tail}
     return out
 
 
@@ -126,21 +132,59 @@ def w_basis(k: int, level: int) -> Tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
+def _yb_index(k: int, length: int) -> Dict[Word, int]:
+    """Position of each admissible Yang-Baxter word of the given length in yb_basis."""
+    return {w: i for i, w in enumerate(yb_basis(k, length))}
+
+
+@lru_cache(maxsize=None)
+def _yb_products(k: int, lu: int, lv: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """products[a][b]: the positions in yb_basis(k, lu + lv) of the words of
+    yb_basis(k, lu)[a] . yb_basis(k, lv)[b].
+
+    With lv = 1 each product is one _yb_times; otherwise u . v = (u . v') . g
+    for v = v'.g, read off the cached tables of lv - 1 and of one generator.
+    """
+    col = _yb_index(k, lu + lv)
+    us, vs = yb_basis(k, lu), yb_basis(k, lv)
+    if lv == 1:
+        return tuple(tuple(tuple(map(col.__getitem__, _yb_times(u, g))) for (g,) in vs) for u in us)
+    prefix, last = _yb_index(k, lv - 1), _yb_index(k, 1)
+    times_gen = _yb_products(k, lu + lv - 1, 1)
+    table = []
+    for products in _yb_products(k, lu, lv - 1):
+        row = []
+        for v in vs:
+            acc: Set[int] = set()
+            for c in products[prefix[v[:-1]]]:
+                acc.symmetric_difference_update(times_gen[c][last[v[-1:]]])
+            row.append(tuple(acc))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
 def _split_table(k: int, lu: int, lv: int) -> Dict[Word, Tuple[Tuple[Word, Word], ...]]:
     """For each admissible word, the (u, v) with given lengths whose product contains it."""
-    table: Dict[Word, List[Tuple[Word, Word]]] = {}
-    for u in yb_basis(k, lu):
-        for v in yb_basis(k, lv):
-            for w in yb_normalize(u + v):
-                table.setdefault(w, []).append((u, v))
+    us, vs, ws = yb_basis(k, lu), yb_basis(k, lv), yb_basis(k, lu + lv)
+    table: Dict[Word, List[Tuple[Word, Word]]] = {w: [] for w in ws}
+    for u, products in zip(us, _yb_products(k, lu, lv)):
+        for v, positions in zip(vs, products):
+            for c in positions:
+                table[ws[c]].append((u, v))
     return {w: tuple(pairs) for w, pairs in table.items()}
 
 
 def coproduct_component(k: int, w: Word, lu: int, lv: int) -> Tuple[Tuple[Word, Word], ...]:
-    """Summands of the dualized multiplication landing in one length bidegree."""
+    """Summands of the dualized multiplication landing in one length bidegree.
+
+    A word that is not an admissible Yang-Baxter word of arity k raises ValueError.
+    """
+    if w not in _yb_index(k, len(w)):
+        raise ValueError(f"not an admissible Yang-Baxter word of arity {k}: {w!r}")
     if lu + lv != len(w) or lu < 1 or lv < 1:
         return ()
-    return _split_table(k, lu, lv).get(w, ())
+    return _split_table(k, lu, lv)[w]
 
 
 def coproduct(k: int, w: Word) -> FrozenSet[Tuple[Word, Word]]:
@@ -148,9 +192,7 @@ def coproduct(k: int, w: Word) -> FrozenSet[Tuple[Word, Word]]:
     n = len(w)
     if n < 2:
         raise ValueError("coproduct needs a word of length at least 2")
-    out = set(coproduct_component(k, w, n - 1, 1))
-    out |= set(coproduct_component(k, w, 1, n - 1))
-    return frozenset(out)
+    return frozenset(coproduct_component(k, w, n - 1, 1) + coproduct_component(k, w, 1, n - 1))
 
 
 def d_w1(w: Word) -> FrozenSet[Tuple[Pair, Pair]]:
@@ -239,23 +281,28 @@ def _product_table(k: int, p: int, q: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def convolution(f: HomWH, g: HomWH) -> HomWH:
-    """Convolution product through the coproduct of W and the Arnold multiplication."""
+    """Convolution product through the coproduct of W and the Arnold multiplication.
+
+    Each f(u) . g(v) is formed once and added to the row of every word of u . v.
+    """
     if f.k != g.k:
         raise ValueError("arity mismatch")
+    if f.level < 0 or g.level < 0:
+        raise ValueError("the convolution takes maps from level 0 or above")
     k = f.k
     level = f.level + g.level + 1
     table = _product_table(k, f.qdeg, g.qdeg)
-    f_bits = dict(zip(w_basis(k, f.level), map(_bits, f.rows)))
-    g_bits = dict(zip(w_basis(k, g.level), map(_bits, g.rows)))
-    rows = []
-    for w in w_basis(k, level):
-        r = 0
-        for u, v in coproduct_component(k, w, f.level + 1, g.level + 1):
-            for i in f_bits[u]:
-                products = table[i]
-                for j in g_bits[v]:
-                    r ^= products[j]
-        rows.append(r)
+    g_bits = [_bits(row) for row in g.rows]
+    rows = [0] * len(w_basis(k, level))
+    for f_row, products in zip(f.rows, _yb_products(k, f.level + 1, g.level + 1)):
+        left = [table[i] for i in _bits(f_row)]
+        for js, positions in zip(g_bits, products):
+            p = 0
+            for j in js:
+                for t in left:
+                    p ^= t[j]
+            for c in positions:
+                rows[c] ^= p
     return HomWH(k, level, f.qdeg + g.qdeg, rows)
 
 

@@ -3,8 +3,10 @@
 Each works on raw tuples, ints and frozensets (apply reads only the fields
 of a map) and is written out from its definition, sharing no code with what
 the tests check: no package function is called here. Both normalizing
-oracles rewrite from a worklist where the package recurses, and arnold_mult
-extends the Arnold one bilinearly.
+oracles rewrite the leftmost bad spot from a worklist, where the package
+recurses (Arnold) or multiplies by one generator at a time (Yang-Baxter).
+arnold_mult extends the Arnold one bilinearly, and yb_splits reads the
+coproduct splits off the Yang-Baxter one.
 """
 
 from collections import defaultdict
@@ -190,6 +192,18 @@ def admissible_words(k, length, admissible):
     """Every admissible word of the given length on k labels, lexicographically."""
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
     return tuple(sorted(w for w in product(pairs, repeat=length) if admissible(w)))
+
+
+@lru_cache(maxsize=None)
+def yb_splits(k, lu, lv):
+    """For each admissible word w of length lu + lv, the pairs (u, v) of admissible
+    words of lengths lu and lv whose product u . v holds w, by the worklist normalizer."""
+    out = defaultdict(set)
+    for u in admissible_words(k, lu, is_admissible_yb):
+        for v in admissible_words(k, lv, is_admissible_yb):
+            for w in yb_worklist_normalize(u + v):
+                out[w].add((u, v))
+    return {w: frozenset(pairs) for w, pairs in out.items()}
 
 
 def apply(h, w):

@@ -28,6 +28,7 @@ from reference import (
     arnold_worklist_normalize,
     is_admissible_arnold,
     is_admissible_yb,
+    yb_splits,
     yb_worklist_normalize,
 )
 
@@ -184,11 +185,13 @@ def test_yb_normalize_matches_the_worklist_oracle_on_every_split_product():
 
 
 def test_yb_normalize_matches_the_worklist_oracle_on_raw_words():
-    """The anchors, unordered pairs, and every product of two or three generators."""
+    """The anchors, unordered pairs, and every product of two or three generators (k = 4 and 5)."""
     gens = [(i, j) for j in range(2, 5) for i in range(1, j)]
     raws = [((1, 3), (1, 2)), ((1, 2), (2, 4), (2, 3)), ((3, 4), (1, 2)), ((3, 1), (2, 1)),
             ((4, 3), (2, 4), (1, 2), (1, 3)), ()]
     raws += list(product(gens, repeat=2)) + list(product(gens, repeat=3))
+    gens5 = [(i, j) for j in range(2, 6) for i in range(1, j)]
+    raws += list(product(gens5, repeat=3))
     for raw in raws:
         assert yb_normalize(raw) == yb_worklist_normalize(raw), raw
     for bad in (((1, 1),), ((1, 2), (3, 3))):
@@ -239,15 +242,31 @@ def test_coproduct_displays():
 
 
 def test_coproduct_dualizes_multiplication():
-    """(u, v) appears in the coproduct of w iff w appears in u times v."""
-    for lu, lv in ((1, 1), (1, 2), (2, 1)):
-        us, vs = yb_basis(4, lu), yb_basis(4, lv)
-        for w in yb_basis(4, lu + lv):
-            got = frozenset(coproduct_component(4, w, lu, lv))
-            expected = frozenset(
-                (u, v) for u in us for v in vs if w in yb_normalize(u + v)
-            )
-            assert got == expected
+    """(u, v) appears in the coproduct of w iff w appears in u times v, by the worklist oracle.
+
+    Every split at k = 4 up to length 4, and every split up to length 3 at k = 3 and 5.
+    """
+    splits = [(4, lu, lv) for lu, lv in ((1, 1), (1, 2), (2, 1), (3, 1), (1, 3), (2, 2))]
+    splits += [(k, lu, lv) for k in (3, 5) for lu, lv in ((1, 1), (1, 2), (2, 1))]
+    for k, lu, lv in splits:
+        expected = yb_splits(k, lu, lv)
+        for w in admissible_words(k, lu + lv, is_admissible_yb):
+            got = frozenset(coproduct_component(k, w, lu, lv))
+            assert got == expected[w], (k, lu, lv, w)
+
+
+def test_coproduct_rejects_a_word_outside_the_basis():
+    """A word that is not admissible, or has a label above k, is in no split table."""
+    _, descent = parse_word("B23.B12")
+    assert len(yb_normalize(descent)) == 3
+    _, high = parse_word("B12.B15")
+    for k, w in ((4, descent), (4, high), (3, parse_word("B12.B14.B24")[1])):
+        for call in (lambda: coproduct(k, w), lambda: coproduct_component(k, w, 1, len(w) - 1)):
+            with pytest.raises(ValueError, match=re.escape(repr(w))):
+                call()
+    assert coproduct(5, high) == {(((1, 2),), ((1, 5),)), (((1, 5),), ((1, 2),))}
+    # An admissible word split at lengths that do not add up to its own has no summands.
+    assert coproduct_component(4, parse_word("B12.B13")[1], 1, 2) == ()
 
 
 def test_d_w1_matches_dual_multiplication():
@@ -317,6 +336,13 @@ def test_tau_convolution_square_vanishes():
     assert convolution(t, t).is_zero()
 
 
+def test_convolution_rejects_a_map_below_level_zero():
+    unit = HomWH(4, -1, 1, [1])  # the empty word is no generator of W
+    for f, g in ((unit, tau(4)), (tau(4), unit)):
+        with pytest.raises(ValueError, match="level 0 or above"):
+            convolution(f, g)
+
+
 def test_hochschild_squares_to_zero_on_random_maps():
     import random
 
@@ -332,12 +358,13 @@ def test_hochschild_squares_to_zero_on_random_maps():
 
 
 def reference_convolution(f, g):
-    """f * g row by row from the reference apply and arnold_mult, as frozensets of words."""
+    """f * g row by row from the reference splits, apply and arnold_mult, as frozensets of words."""
     k, level = f.k, f.level + g.level + 1
+    splits = yb_splits(k, f.level + 1, g.level + 1)
     out = {}
-    for w in w_basis(k, level):
+    for w in admissible_words(k, level + 1, is_admissible_yb):
         acc = frozenset()
-        for u, v in coproduct_component(k, w, f.level + 1, g.level + 1):
+        for u, v in splits[w]:
             acc = acc ^ arnold_mult(apply(f, u), apply(g, v))
         out[w] = acc
     return out
@@ -362,12 +389,15 @@ def test_convolution_and_hochschild_match_frozenset_reference_seeded():
             assert (conv.level, conv.qdeg) == (lf + lg + 1, qf + qg)
             for w, expected in reference_convolution(f, g).items():
                 assert apply(conv, w) == expected, (lf, qf, lg, qg, w)
-    for level, qdeg in ((0, 1), (1, 1), (1, 2)):
+    # Level 2 at degree 2 is where alpha lives: the closedness check of obstruct.
+    for level, qdeg in ((0, 1), (1, 1), (1, 2), (2, 2)):
         for _ in range(3):
             f = random_hom(rng, level, qdeg)
-            d = hochschild_d(f)
+            ft, tf, d = convolution(f, t), convolution(t, f), hochschild_d(f)
             left, right = reference_convolution(f, t), reference_convolution(t, f)
             for w in w_basis(4, level + 1):
+                assert apply(ft, w) == left[w], (level, qdeg, w)
+                assert apply(tf, w) == right[w], (level, qdeg, w)
                 assert apply(d, w) == left[w] ^ right[w], (level, qdeg, w)
 
 

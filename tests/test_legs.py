@@ -26,10 +26,11 @@ PRIMITIVES = frozenset({
     # the bases and the normalizers behind them
     "algebras.arnold_basis", "algebras.yb_basis", "algebras._admissible_words",
     "algebras.w_basis", "algebras.arnold_normalize", "algebras._arnold_rewrite",
-    "algebras.yb_normalize", "algebras._yb_rewrite",
+    "algebras.yb_normalize", "algebras._yb_times",
     "algebras._normpair",
     # the coproduct splits, the Arnold products and the twisting cochain
-    "algebras._split_table", "algebras.coproduct_component",
+    "algebras._yb_index", "algebras._yb_products", "algebras._split_table",
+    "algebras.coproduct_component",
     "algebras._product_table", "algebras.tau",
     # the constructors, and the gf2 kernel
     "algebras.HomWH.__init__", "gf2.BitMatrix.__init__",
