@@ -13,7 +13,6 @@ from .gf2 import BitMatrix, rank, rowspace_basis, solve
 from .perms import all_perms, act, project
 from .complexes import Complex, count_by_degree, get_complex
 from .cochains import (
-    F2Chain,
     F2Cochain,
     ar,
     coboundary,
@@ -26,7 +25,6 @@ from .cochains import (
     pair,
     parse_cochain,
     pullback,
-    zero,
 )
 from .algebras import (
     HomWH,
@@ -75,9 +73,9 @@ __all__ = [
     "BitMatrix", "rank", "rowspace_basis", "solve",
     "all_perms", "act", "project",
     "Complex", "count_by_degree", "get_complex",
-    "F2Chain", "F2Cochain", "ar", "coboundary", "coboundary_matrix",
+    "F2Cochain", "ar", "coboundary", "coboundary_matrix",
     "cochain_text", "cup", "cup1", "from_simplices", "omega", "pair",
-    "parse_cochain", "pullback", "zero",
+    "parse_cochain", "pullback",
     "HomWH", "arnold_basis", "arnold_normalize", "convolution",
     "coproduct", "coproduct_component", "d_w1", "hochschild_d",
     "parse_word", "tau", "w_basis", "word_text", "yb_basis", "yb_normalize",

@@ -226,6 +226,8 @@ class HomWH:
     __slots__ = ("k", "level", "qdeg", "rows")
 
     def __init__(self, k: int, level: int, qdeg: int, rows: Sequence[int]):
+        if level < 0:
+            raise ValueError("a map starts at resolution level 0 or above")
         self.k = k
         self.level = level
         self.qdeg = qdeg
@@ -262,7 +264,7 @@ class HomWH:
 
 
 @lru_cache(maxsize=None)
-def tau(k: int = 4) -> HomWH:
+def tau(k: int) -> HomWH:
     """The twisting cochain: length-1 dual generators to the matching Arnold class.
 
     w_basis(k, 0) and arnold_basis(k, 1) are the same words in the same order.
@@ -287,8 +289,6 @@ def convolution(f: HomWH, g: HomWH) -> HomWH:
     """
     if f.k != g.k:
         raise ValueError("arity mismatch")
-    if f.level < 0 or g.level < 0:
-        raise ValueError("the convolution takes maps from level 0 or above")
     k = f.k
     level = f.level + g.level + 1
     table = _product_table(k, f.qdeg, g.qdeg)

@@ -18,8 +18,6 @@ from .perms import project
 
 __all__ = [
     "F2Cochain",
-    "F2Chain",
-    "zero",
     "from_simplices",
     "coboundary",
     "cup",
@@ -42,6 +40,8 @@ class F2Cochain:
     def __init__(self, cx: Complex, degree: int, support: int = 0):
         if not isinstance(support, int):
             raise TypeError("support must be an int bitset")
+        if degree < 0:
+            raise ValueError("degree must be non-negative")
         # Checked only when nonzero, so that a zero cochain builds no table.
         if support and (support < 0 or support >> len(cx.index(degree))):
             raise ValueError(f"support is not a bitset over the degree-{degree} table")
@@ -71,14 +71,11 @@ class F2Cochain:
         return self.support.bit_count()
 
     def simplices(self) -> List[Simplex]:
-        tbl = self.cx.index(self.degree)
-        return [tbl.simplex(i) for i in _bits(self.support)]
+        codes = self.cx.index(self.degree)
+        return [self.cx.unpack(codes[i], self.degree) for i in _bits(self.support)]
 
     def __repr__(self) -> str:
         return f"F2Cochain(k={self.cx.k}, t={self.cx.t}, degree={self.degree}, {cochain_text(self)})"
-
-
-F2Chain = F2Cochain
 
 
 def _check_same(a: F2Cochain, b: F2Cochain):
@@ -88,21 +85,15 @@ def _check_same(a: F2Cochain, b: F2Cochain):
         raise ValueError("degree mismatch")
 
 
-def zero(cx: Complex, degree: int) -> F2Cochain:
-    return F2Cochain(cx, degree)
-
-
 def from_simplices(cx: Complex, simplices: Iterable[Simplex]) -> F2Cochain:
     """The sum of the given simplices (all of one degree): a repeated simplex cancels."""
     sims = list(simplices)
     if not sims:
-        raise ValueError("degree is ambiguous for an empty set; use zero(cx, degree)")
+        raise ValueError("degree is ambiguous for an empty set; use F2Cochain(cx, degree)")
     degs = {len(s) - 1 for s in sims}
     if len(degs) != 1:
         raise ValueError("simplices must share one degree")
-    deg = degs.pop()
-    tbl = cx.index(deg)
-    return F2Cochain(cx, deg, reduce(xor, (1 << tbl.index_of(s) for s in sims)))
+    return F2Cochain(cx, degs.pop(), reduce(xor, (1 << cx.index_of(s) for s in sims)))
 
 
 def _masks(columns: Iterable[Sequence[int]], n: int) -> List[int]:
@@ -129,12 +120,8 @@ def _coface_masks(cx: Complex, deg: int) -> List[int]:
 
 def coboundary(c: F2Cochain) -> F2Cochain:
     """(dc)(s) = sum of c over the faces of s, degenerate faces contributing zero."""
-    cx = c.cx
-    if c.degree >= cx.top_degree:
-        # The next cochain group vanishes, so the coboundary is zero there.
-        return F2Cochain(cx, c.degree + 1)
-    masks = _coface_masks(cx, c.degree)
-    return F2Cochain(cx, c.degree + 1, reduce(xor, compress(masks, _flags(c.support)), 0))
+    masks = _coface_masks(c.cx, c.degree)
+    return F2Cochain(c.cx, c.degree + 1, reduce(xor, compress(masks, _flags(c.support)), 0))
 
 
 @lru_cache(maxsize=None)
@@ -159,12 +146,8 @@ def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:
     """Alexander-Whitney product: the AND of a's front image and b's back image."""
     if a.cx is not b.cx:
         raise ValueError("ambient complex mismatch")
-    cx = a.cx
     p, q = a.degree, b.degree
-    if p + q > cx.top_degree:
-        # Nothing lives above the top degree; the product collapses.
-        return F2Cochain(cx, p + q)
-    return F2Cochain(cx, p + q, _front_image(a, q) & _back_image(b, p))
+    return F2Cochain(a.cx, p + q, _front_image(a, q) & _back_image(b, p))
 
 
 def cup1(a: F2Cochain, b: F2Cochain) -> F2Cochain:
@@ -178,7 +161,7 @@ def cup1(a: F2Cochain, b: F2Cochain) -> F2Cochain:
 @lru_cache(maxsize=None)
 def _level_masks(cx: Complex, deg: int) -> List[List[int]]:
     """masks[m][a]: the degree-deg simplices whose level m is cx.perms[a]."""
-    codes = cx.index(deg).codes
+    codes = cx.index(deg)
     low = (1 << cx.bits) - 1
     return [_masks([[code >> cx.bits * (deg - m) & low for code in codes]], len(cx.perms))
             for m in range(deg + 1)]
@@ -227,7 +210,7 @@ def ar() -> F2Cochain:
     return from_simplices(get_complex(3, 2), [((1, 3, 2), (3, 1, 2))])
 
 
-def pair(c: F2Cochain, z: F2Chain) -> int:
+def pair(c: F2Cochain, z: F2Cochain) -> int:
     """Evaluation of a cochain on a chain: |Supp(c) & Supp(z)| mod 2."""
     _check_same(c, z)
     return (c.support & z.support).bit_count() & 1
@@ -256,7 +239,7 @@ def parse_cochain(cx: Complex, text: str, degree: Optional[int] = None) -> F2Coc
     if body == "0":
         if degree is None:
             raise ValueError("parsing the zero cochain needs an explicit degree")
-        return zero(cx, degree)
+        return F2Cochain(cx, degree)
     sims = [simplex_from_text(part.strip()) for part in body.split("+")]
     c = from_simplices(cx, sims)
     if degree is not None and c.degree != degree:

@@ -22,7 +22,6 @@ from .perms import Perm, all_perms, ordered_pairs, pair_flags, perm_from_text, p
 __all__ = [
     "Simplex",
     "is_nondegenerate",
-    "ComplexIndex",
     "FaceTable",
     "Complex",
     "get_complex",
@@ -83,50 +82,6 @@ class _Walker:
         return tuple(nexts), tuple(keys)
 
 
-class ComplexIndex:
-    """Canonically ordered table of the filtered nondegenerate simplices of one degree:
-    codes is an array('Q') when (degree + 1) * bits <= 64, else a list of ints."""
-
-    def __init__(self, deg: int, perms: Tuple[Perm, ...], bits: int, codes: Sequence[int]):
-        self.degree = deg
-        self.perms = perms
-        self.bits = bits
-        self.codes = codes
-        self._perm_index = {p: i for i, p in enumerate(perms)}
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def pack(self, s: Simplex) -> int:
-        code = 0
-        for level in s:
-            code = (code << self.bits) | self._perm_index[level]
-        return code
-
-    def unpack(self, code: int) -> Simplex:
-        mask = (1 << self.bits) - 1
-        idxs = []
-        for _ in range(self.degree + 1):
-            idxs.append(code & mask)
-            code >>= self.bits
-        return tuple(self.perms[i] for i in reversed(idxs))
-
-    def simplex(self, i: int) -> Simplex:
-        return self.unpack(self.codes[i])
-
-    def index_of(self, s: Simplex) -> int:
-        """The position of s, found by bisecting the sorted codes."""
-        if len(s) == self.degree + 1 and self._perm_index.keys() >= set(s):
-            code = self.pack(s)
-            i = bisect_left(self.codes, code)
-            if i < len(self.codes) and self.codes[i] == code:
-                return i
-        raise ValueError(f"simplex not in the table: {simplex_text(s)}")
-
-    def simplices(self) -> List[Simplex]:
-        return [self.unpack(c) for c in self.codes]
-
-
 class FaceTable:
     """Faces of one degree: columns[m][i] indexes face m of simplex i below, -1 if degenerate."""
 
@@ -138,7 +93,12 @@ class FaceTable:
 
 
 class Complex:
-    """Ambient (arity k, complexity t) with lazily enumerated degree tables."""
+    """Ambient (arity k, complexity t) with lazily enumerated degree tables.
+
+    The table of degree d is its sorted simplex codes. A code packs the perm
+    indices of the d + 1 levels, bits bits each, the first level highest; the
+    table is an array('Q') when (d + 1) * bits <= 64, else a list of ints.
+    """
 
     def __init__(self, k: int, t: int):
         self._walker = _Walker(k, t)
@@ -147,7 +107,8 @@ class Complex:
         self.perms = self._walker.perms
         self.bits = self._walker.bits
         self.top_degree = self._walker.top_degree
-        self._tables: Dict[int, ComplexIndex] = {0: self._table(0, range(len(self.perms)))}
+        self._perm_index = {p: i for i, p in enumerate(self.perms)}
+        self._tables: Dict[int, Sequence[int]] = {0: self._table(0, range(len(self.perms)))}
         self._built_to = 0
         # The steps that built the highest table: one per parent, not a key per simplex.
         self._frontier: List[_Step] = [((), tuple(range(len(self.perms))))]
@@ -158,12 +119,11 @@ class Complex:
         self._face_tables: Dict[int, FaceTable] = {}
         self._iterated: Dict[Tuple[int, int, int], array] = {}
 
-    def _table(self, deg: int, codes: Iterable[int]) -> ComplexIndex:
-        store = _filled("Q", codes) if (deg + 1) * self.bits <= 64 else list(codes)
-        return ComplexIndex(deg, self.perms, self.bits, store)
+    def _table(self, deg: int, codes: Iterable[int]) -> Sequence[int]:
+        return _filled("Q", codes) if (deg + 1) * self.bits <= 64 else list(codes)
 
-    def index(self, deg: int) -> ComplexIndex:
-        """The canonical table for one degree, enumerating on first use.
+    def index(self, deg: int) -> Sequence[int]:
+        """The sorted codes of one degree, enumerating on first use.
 
         Degrees above the top are empty tables: those cochain groups vanish.
         """
@@ -177,6 +137,31 @@ class Complex:
             self._build(deg)
         return self._tables[deg]
 
+    def pack(self, s: Simplex) -> int:
+        code = 0
+        for level in s:
+            code = (code << self.bits) | self._perm_index[level]
+        return code
+
+    def unpack(self, code: int, deg: int) -> Simplex:
+        low = (1 << self.bits) - 1
+        return tuple(self.perms[code >> self.bits * (deg - m) & low] for m in range(deg + 1))
+
+    def simplex(self, deg: int, i: int) -> Simplex:
+        return self.unpack(self.index(deg)[i], deg)
+
+    def simplices(self, deg: int) -> List[Simplex]:
+        return [self.unpack(c, deg) for c in self.index(deg)]
+
+    def index_of(self, s: Simplex) -> int:
+        """The position of s in the table of degree len(s) - 1, by bisecting its codes."""
+        if s and self._perm_index.keys() >= set(s):
+            codes, code = self.index(len(s) - 1), self.pack(s)
+            i = bisect_left(codes, code)
+            if i < len(codes) and codes[i] == code:
+                return i
+        raise ValueError(f"simplex not in the table: {simplex_text(s)}")
+
     def _build(self, up_to: int):
         """Extend the highest built degree one level at a time.
 
@@ -189,7 +174,7 @@ class Complex:
             steps = list(map(step, chain.from_iterable(map(itemgetter(1), self._frontier))))
             self._children[deg] = array("H", map(len, map(itemgetter(0), steps)))
             self._lasts[deg] = _filled("H", chain.from_iterable(map(itemgetter(0), steps)))
-            shifted = map(lshift, self._tables[deg - 1].codes, repeat(self.bits))
+            shifted = map(lshift, self._tables[deg - 1], repeat(self.bits))
             bases = self._per_child(deg, shifted)
             self._tables[deg] = self._table(deg, map(or_, bases, self._lasts[deg]))
             self._frontier = steps

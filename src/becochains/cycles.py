@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import FrozenSet, Tuple
 
 from .algebras import Word, arnold_basis
-from .cochains import F2Chain, F2Cochain, coboundary, cup, from_simplices, omega, pair
+from .cochains import F2Cochain, coboundary, cup, from_simplices, omega, pair
 from .complexes import Simplex, get_complex, is_nondegenerate
 from .gf2 import BitMatrix
 from .perms import Perm, act, block_substitute
@@ -135,7 +135,7 @@ def h2_cycle_table() -> Tuple[Tuple[Word, Chain], ...]:
 
 
 @lru_cache(maxsize=None)
-def _cycle_chains() -> Tuple[F2Chain, ...]:
+def _cycle_chains() -> Tuple[F2Cochain, ...]:
     """The 11 cycles as chains of the arity-4 complex, in quadratic basis order."""
     cx = get_complex(4, 2)
     return tuple(from_simplices(cx, ch) for _, ch in h2_cycle_table())
@@ -168,7 +168,7 @@ def pairing_matrix() -> BitMatrix:
 
 
 @lru_cache(maxsize=None)
-def _dual_cycle_chains() -> Tuple[F2Chain, ...]:
+def _dual_cycle_chains() -> Tuple[F2Cochain, ...]:
     """The 11 cycle chains, once checked to be dual to the quadratic basis."""
     m = pairing_matrix()
     if m.data != [1 << i for i in range(m.cols)]:

@@ -35,7 +35,6 @@ from .cochains import (
     cup1,
     omega,
     pullback,
-    zero,
 )
 from .complexes import get_complex
 from .cycles import _class_row, class_of_cocycle, omega_product
@@ -108,7 +107,7 @@ def phi1(w: Word) -> F2Cochain:
     (i, j), (l, m) = w
     cx = get_complex(4, 2)
     if (i, j) == (l, m):
-        return zero(cx, 1)
+        return F2Cochain(cx, 1)
     if j < m:
         return cup1(omega(4, i, j), omega(4, l, m))
     if j != m:
@@ -311,22 +310,20 @@ def validates_class(c: F2Cochain, row: int) -> bool:
     return v == 0
 
 
-def triangle(a: Optional[HomWH] = None) -> Dict[str, bool]:
-    """The three independent legs of the non-formality verdict, and whether a is closed.
+def triangle(a: HomWH) -> Dict[str, bool]:
+    """The three independent legs of the non-formality verdict on a, and whether a is closed.
 
-    closed: alpha is a Hochschild cocycle; solve: alpha is not hit by the
+    closed: a is a Hochschild cocycle; solve: a is not hit by the
     convolution differential; pairing: the certifying cycle is closed and
-    pairs to 1; classes: alpha is closed and the six anchor classes validate
-    against the coboundary space.
+    pairs with a to 1; classes: a is closed and its six anchor rows validate
+    as the classes of their error cocycles against the coboundary space.
     """
-    if a is None:
-        a = alpha_hom()
     _check_hom(a, 2, 2)
     closed = hochschild_d(a).is_zero()
     b = beta()
     leg_solve = is_coboundary(a) is None
     leg_pairing = (not dual_d(b)) and pair_alpha_beta(a, b) == 1
-    base = dict(zip(w_basis(4, 2), alpha_hom().rows))
+    base = dict(zip(w_basis(4, 2), a.rows))
     leg_classes = closed and all(validates_class(phi_d(w), base[w]) for w in ANCHOR_WORDS)
     return {
         "closed": closed,

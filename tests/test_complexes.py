@@ -91,8 +91,7 @@ def test_top_degree_bound():
 
 
 def test_group_action_preserves_tables():
-    idx = get_complex(3, 2).index(2)
-    sims = set(idx.simplices())
+    sims = set(get_complex(3, 2).simplices(2))
     for g in all_perms(3):
         relabeled = {tuple(act(g, p) for p in s) for s in sims}
         assert relabeled == sims
@@ -121,21 +120,19 @@ def _brute_force_tables(k, t, top):
 def test_tables_match_brute_force_references(k, t, top):
     cx = Complex(k, t)
     for d, sims in enumerate(_brute_force_tables(k, t, top)):
-        tbl = cx.index(d)
-        codes = list(tbl.codes)
+        codes = list(cx.index(d))
         assert all(a < b for a, b in zip(codes, codes[1:]))
-        assert tbl.simplices() == sims
+        assert cx.simplices(d) == sims
         if d:
-            below = cx.index(d - 1)
             expected = [
-                [-1 if f is None else below.index_of(f) for _, f in faces(s)] for s in sims
+                [-1 if f is None else cx.index_of(f) for _, f in faces(s)] for s in sims
             ]
             assert len(cx.face_indices(d)) == len(sims)
             assert [list(row) for row in zip(*cx.face_indices(d).columns)] == expected
         for p in range(d + 1):
             fronts, backs = cx.front_back(p, d - p)
-            assert list(fronts) == [cx.index(p).index_of(s[: p + 1]) for s in sims]
-            assert list(backs) == [cx.index(d - p).index_of(s[p:]) for s in sims]
+            assert list(fronts) == [cx.index_of(s[: p + 1]) for s in sims]
+            assert list(backs) == [cx.index_of(s[p:]) for s in sims]
 
 
 def test_face_and_front_back_tables_in_any_order():
@@ -178,9 +175,7 @@ def test_tables_extend_in_place():
     assert len(cx._frontier) == len(cx.index(5))
     straight = Complex(4, 2)
     straight.index(6)
-    assert [list(cx.index(d).codes) for d in range(7)] == [
-        list(straight.index(d).codes) for d in range(7)
-    ]
+    assert [list(cx.index(d)) for d in range(7)] == [list(straight.index(d)) for d in range(7)]
     assert cx.face_indices(1) is rows
 
 
@@ -192,7 +187,7 @@ def test_tables_are_flat_arrays():
     faces_of = {d: cx.face_indices(d) for d in range(1, top + 1)}
     splits = {(p, d - p): cx.front_back(p, d - p) for d in range(top + 1) for p in range(d + 1)}
     for d in range(top + 1):
-        codes = cx.index(d).codes
+        codes = cx.index(d)
         assert isinstance(codes, array) and codes.typecode == "Q"
     for table in faces_of.values():
         assert all(isinstance(col, array) and col.typecode == "i" for col in table.columns)
@@ -207,16 +202,15 @@ def test_codes_are_an_array_exactly_when_they_fit_in_64_bits():
     """(2, 2) packs a level in one bit, so degree 63 fills 64 bits and degree 64 needs 65."""
     cx = Complex(2, 2)
     assert cx.bits == 1
-    assert isinstance(cx.index(63).codes, array) and cx.index(63).codes.typecode == "Q"
-    assert isinstance(cx.index(64).codes, list)
-    assert list(cx._table(63, [0, (1 << 64) - 1]).codes) == [0, (1 << 64) - 1]
-    assert cx._table(64, [1 << 64]).codes == [1 << 64]
+    assert isinstance(cx.index(63), array) and cx.index(63).typecode == "Q"
+    assert isinstance(cx.index(64), list)
+    assert list(cx._table(63, [0, (1 << 64) - 1])) == [0, (1 << 64) - 1]
+    assert cx._table(64, [1 << 64]) == [1 << 64]
 
 
 def test_simplicial_identities():
     # d_m d_l = d_{l} d_{m+1} for l <= m, on nondegenerate parts
-    idx = get_complex(3, 2).index(3)
-    for s in idx.simplices()[:12]:
+    for s in get_complex(3, 2).simplices(3)[:12]:
         fs = dict(faces(s))
         for m in range(1, 4):
             for l in range(m):
@@ -229,8 +223,8 @@ def test_simplicial_identities():
 
 
 def test_faces_stay_in_filtration():
-    idx1 = set(get_complex(3, 2).index(1).simplices())
-    for s in get_complex(3, 2).index(2).simplices():
+    idx1 = set(get_complex(3, 2).simplices(1))
+    for s in get_complex(3, 2).simplices(2):
         for _, f in faces(s):
             if f is not None:
                 assert len(f) == 2
@@ -239,29 +233,27 @@ def test_faces_stay_in_filtration():
 
 
 def test_lower_filtration_included_in_higher():
-    lo = set(get_complex(3, 2).index(2).simplices())
-    hi = set(get_complex(3, 3).index(2).simplices())
+    lo = set(get_complex(3, 2).simplices(2))
+    hi = set(get_complex(3, 3).simplices(2))
     assert lo < hi
 
 
 def test_index_roundtrip():
-    idx = get_complex(4, 2).index(1)
-    for i in (0, 1, 5, 100, len(idx) - 1):
-        assert idx.index_of(idx.simplex(i)) == i
+    cx = get_complex(4, 2)
+    for i in (0, 1, 5, 100, len(cx.index(1)) - 1):
+        assert cx.index_of(cx.simplex(1, i)) == i
 
 
 def test_index_of_a_simplex_outside_the_table_raises():
-    idx = get_complex(2, 2).index(2)
     with pytest.raises(ValueError, match=r"12\|21\|12"):
-        idx.index_of(simplex_from_text("12|21|12"))
+        get_complex(2, 2).index_of(simplex_from_text("12|21|12"))
 
 
 @pytest.mark.parametrize("k, t", [(3, 3), (4, 2)])
 def test_index_of_round_trips_every_simplex(k, t):
     cx = get_complex(k, t)
     for d in range(cx.top_degree + 1):
-        tbl = cx.index(d)
-        assert [tbl.index_of(s) for s in tbl.simplices()] == list(range(len(tbl)))
+        assert [cx.index_of(s) for s in cx.simplices(d)] == list(range(len(cx.index(d))))
 
 
 @pytest.mark.parametrize("k, t", [(3, 3), (4, 2)])
@@ -270,23 +262,31 @@ def test_index_of_codes_between_and_beyond_the_table_raise(k, t):
     cx = get_complex(k, t)
     first, second, last = cx.perms[0], cx.perms[1], cx.perms[-1]
     for d in range(1, cx.top_degree + 1):
-        tbl = cx.index(d)
+        codes = cx.index(d)
         below, between, above = ((p,) * (d + 1) for p in (first, second, last))
-        assert tbl.pack(below) < tbl.codes[0] < tbl.pack(between) < tbl.codes[-1] < tbl.pack(above)
+        assert cx.pack(below) < codes[0] < cx.pack(between) < codes[-1] < cx.pack(above)
         for s in (below, between, above):
             message = f"simplex not in the table: {simplex_text(s)}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                tbl.index_of(s)
+                cx.index_of(s)
 
 
 def test_index_of_rejects_a_simplex_of_another_length_or_arity():
-    """A one-level string can pack to a stored degree-1 code; its length tells it apart."""
-    idx = get_complex(4, 2).index(1)
-    short = (idx.perms[1],)
-    assert idx.pack(short) == idx.codes[0]
-    for s in (short, simplex_from_text("123|132")):
-        with pytest.raises(ValueError, match=re.escape(simplex_text(s))):
-            idx.index_of(s)
+    """The degree of a simplex is read off its length.
+
+    A one-level string packs to a stored degree-1 code, but resolves in degree 0.
+    A string longer than the top degree allows, one of another arity and the
+    empty string lie in no table.
+    """
+    cx = get_complex(4, 2)
+    short = (cx.perms[1],)
+    assert cx.pack(short) == cx.index(1)[0]
+    assert cx.index_of(short) == 1
+    too_long = (cx.perms[0], cx.perms[1]) * 4
+    for s in (too_long, simplex_from_text("123|132"), ()):
+        message = f"simplex not in the table: {simplex_text(s)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cx.index_of(s)
 
 
 def test_simplex_text_roundtrip():

@@ -12,6 +12,7 @@ from becochains.algebras import (
     w_basis,
 )
 from becochains.cochains import (
+    F2Cochain,
     ar,
     coboundary,
     cup,
@@ -19,7 +20,6 @@ from becochains.cochains import (
     from_simplices,
     omega,
     pullback,
-    zero,
 )
 from becochains.complexes import get_complex, simplex_from_text
 from becochains.cycles import class_of_cocycle, h2_cycle_table
@@ -106,7 +106,7 @@ def test_level_one_compatibility_all_generators():
     cx = get_complex(4, 2)
     for w in w_basis(4, 1):
         lhs = coboundary(phi1(w))
-        rhs = zero(cx, 2)
+        rhs = F2Cochain(cx, 2)
         for g1, g2 in d_w1(w):
             rhs = rhs + cup(omega(4, *g1), omega(4, *g2))
         assert lhs == rhs, w
@@ -114,7 +114,7 @@ def test_level_one_compatibility_all_generators():
 
 def _phi_d_display(terms):
     cx = get_complex(4, 2)
-    total = zero(cx, 2)
+    total = F2Cochain(cx, 2)
     for t in terms:
         total = total + t
     return total
@@ -256,7 +256,7 @@ def test_phi_d_rejects_a_non_generator():
 
 def reference_phi_d(level1, w):
     """Sum of cup(phi1 u, phi0 v) over the (2,1) split and cup(phi0 u, phi1 v) over the (1,2) one."""
-    acc = zero(get_complex(4, 2), 2)
+    acc = F2Cochain(get_complex(4, 2), 2)
     for u, v in coproduct_component(4, w, 2, 1):
         acc = acc + cup(level1[u], phi0(v))
     for u, v in coproduct_component(4, w, 1, 2):
@@ -426,7 +426,7 @@ def test_validates_class_rejects_rows_outside_the_quadratic_basis():
 
 
 def test_triangle_agreement():
-    tri = triangle()
+    tri = triangle(alpha_hom())
     assert tri == {"closed": True, "solve": True, "pairing": True, "classes": True, "agree": True}
 
 
@@ -440,6 +440,14 @@ def test_triangle_on_a_non_cocycle_disagrees_without_raising():
                    "agree": False}
 
 
+def test_triangle_judges_the_anchor_rows_of_the_map_it_is_given():
+    """A gauge-shifted alpha is closed and no coboundary, but its anchor rows differ from alpha's."""
+    for seed in range(5):
+        tri = triangle(alpha_hom() + hochschild_d(random_gauge(seed)))
+        assert tri == {"closed": True, "solve": True, "pairing": True, "classes": False,
+                       "agree": False}, seed
+
+
 def test_maps_and_cochains_of_another_arity_are_rejected():
     a3 = HomWH(3, 2, 2, [0] * len(w_basis(3, 2)))
     f3 = HomWH(3, 1, 1, [0] * len(w_basis(3, 1)))
@@ -451,4 +459,4 @@ def test_maps_and_cochains_of_another_arity_are_rejected():
     with pytest.raises(ValueError):
         is_coboundary(HomWH(4, 1, 1, [0] * len(w_basis(4, 1))))
     with pytest.raises(ValueError):
-        validates_class(zero(get_complex(3, 2), 2), 0)
+        validates_class(F2Cochain(get_complex(3, 2), 2), 0)
