@@ -117,7 +117,8 @@ class Complex:
         self._children: Dict[int, array] = {}
         self._lasts: Dict[int, array] = {}
         self._face_tables: Dict[int, FaceTable] = {}
-        self._iterated: Dict[Tuple[int, int, int], array] = {}
+        # Many strings share a key, across every build of this complex.
+        self._step = lru_cache(maxsize=None)(self._walker.step)
 
     def _table(self, deg: int, codes: Iterable[int]) -> Sequence[int]:
         return _filled("Q", codes) if (deg + 1) * self.bits <= 64 else list(codes)
@@ -168,10 +169,8 @@ class Complex:
         Extending a sorted table by increasing last level gives the next
         sorted table, since all its codes have the same length.
         """
-        # Many strings share a key; the memo lives for this build only.
-        step = lru_cache(maxsize=None)(self._walker.step)
         for deg in range(self._built_to + 1, up_to + 1):
-            steps = list(map(step, chain.from_iterable(map(itemgetter(1), self._frontier))))
+            steps = list(map(self._step, chain.from_iterable(map(itemgetter(1), self._frontier))))
             self._children[deg] = array("H", map(len, map(itemgetter(0), steps)))
             self._lasts[deg] = _filled("H", chain.from_iterable(map(itemgetter(0), steps)))
             shifted = map(lshift, self._tables[deg - 1], repeat(self.bits))
@@ -200,13 +199,13 @@ class Complex:
         """
         self.index(deg)  # builds the table, its child counts and last levels
         lasts = self._lasts[deg]
-        parents = self._iterated_face(deg, 1, -1)
+        parents = self._ancestors(deg - 1, deg)
         if deg == 1:
             return array("i", lasts), parents
         below = self.face_indices(deg - 1).columns
         # slots[y][n]: the index of (y, n) in table deg-1, or -1. Simplices y without
         # children, and the trailing row read by a degenerate d_m x (-1), share one row.
-        none = [-1] * (1 << self.bits)
+        none = [-1] * len(self.perms)  # indexed by a last level
         slots = [[-1] * len(none) if c else none for c in self._children[deg - 1]] + [none]
         parent_rows = self._per_child(deg - 1, slots)
         for row, n, i in zip(parent_rows, self._lasts[deg - 1], count()):
@@ -223,43 +222,50 @@ class Complex:
         children = self._children[deg]
         return chain.from_iterable(map(repeat, compress(values, children), filter(None, children)))
 
-    def _repeated(self, deg: int, values: array) -> array:
-        """_per_child of ints as an array('i'): each value is packed once, its bytes repeated."""
-        self.index(deg)  # builds the child counts
-        out, pieces = array("i"), map(mul, map(Struct("i").pack, values), self._children[deg])
-        # Joined in chunks: all the pieces at once would hold their bytes twice over.
-        while chunk := list(islice(pieces, 1 << 14)):
-            out.frombytes(b"".join(chunk))
-        return out
-
     def front_back(self, p: int, q: int) -> Tuple[array, array]:
-        """Front p-face and back q-face indices for every degree p+q simplex."""
+        """Front p-face and back q-face indices for every degree p+q simplex.
+
+        The front is the last face applied q times and the back is face 0
+        applied p times. Only the single steps are stored face columns; the
+        other columns are built on each call and kept by the caller.
+        """
         if p < 0 or q < 0:
             raise ValueError("degree must be non-negative")
         if p + q > self.top_degree:
             return array("i"), array("i")
-        return self._iterated_face(p + q, q, -1), self._iterated_face(p + q, p, 0)
+        deg = p + q
+        fronts = self.face_indices(deg).columns[-1] if q == 1 else self._ancestors(p, deg)
+        if p == 0:
+            return fronts, array("i", range(len(self.index(deg))))
+        backs = self.face_indices(q + 1).columns[0]
+        if p > 1:
+            # Face 0 composed from the low degrees up: each gather reads the column
+            # below through one int object per simplex of table q, not per entry.
+            values = list(range(len(self.index(q))))
+            for d in range(q + 2, deg + 1):
+                below = list(map(values.__getitem__, backs))
+                backs = _filled("i", map(below.__getitem__, self.face_indices(d).columns[0]))
+        return fronts, backs
 
-    def _iterated_face(self, deg: int, times: int, m: int) -> array:
-        """Face m (0 or -1, the last) applied `times` times to every degree-deg simplex.
+    def _ancestors(self, p: int, deg: int) -> array:
+        """For each simplex of table deg, the index of its ancestor in table p <= deg.
 
-        Each step is cached, so every (p, q) with one p + q shares them. The
-        last face of (x, n) is x: applied `times` times, it is the parent's
-        applied `times - 1` times, repeated once per child.
+        The descendants of one simplex of table p form one block of table deg,
+        its size summed from the child counts; each index is packed once and
+        its bytes repeated by its block's size.
         """
-        if times == 0:
-            return array("i", range(len(self.index(deg))))
-        key = (deg, times, m)
-        if key not in self._iterated:
-            if m == -1:
-                col = self._repeated(deg, self._iterated_face(deg - 1, times - 1, -1))
-            else:
-                col = self.face_indices(deg - times + 1).columns[0]
-                if times > 1:
-                    inner = self._iterated_face(deg, times - 1, 0)
-                    col = _filled("i", map(col.tolist().__getitem__, inner))
-            self._iterated[key] = col
-        return self._iterated[key]
+        total, n = len(self.index(deg)), len(self.index(p))  # builds the child counts
+        if p == deg:
+            return array("i", range(n))
+        sizes: Iterable[int] = self._children[deg]
+        for d in range(deg - 1, p, -1):
+            sizes = list(map(sum, map(islice, repeat(iter(sizes)), self._children[d])))
+        out, pieces = array("i"), map(mul, map(Struct("i").pack, range(n)), sizes)
+        # Each join holds about 2^14 entries: all the pieces at once would hold their bytes twice.
+        per_join = (n << 14) // total + 1
+        while chunk := list(islice(pieces, per_join)):
+            out.frombytes(b"".join(chunk))
+        return out
 
 
 def _filled(typecode: str, values: Iterable[int]) -> array:

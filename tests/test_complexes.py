@@ -1,8 +1,10 @@
 """Filtered complexes of permutation strings: enumeration, faces, actions."""
 
 import re
+import weakref
 from array import array
 from functools import lru_cache
+from random import Random
 
 import pytest
 
@@ -196,6 +198,29 @@ def test_tables_are_flat_arrays():
     for p in range(1, top):
         assert splits[(p, 1)][0] is faces_of[p + 1].columns[-1]
         assert splits[(1, p)][1] is faces_of[p + 1].columns[0]
+
+
+def test_front_back_keeps_no_column_it_builds():
+    """Splits of more than one step on both sides are built per call and held by the caller only."""
+    cx = Complex(4, 2)
+    for d in range(4, cx.top_degree + 1):
+        for p in range(2, d - 1):
+            refs = [weakref.ref(column) for column in cx.front_back(p, d - p)]
+            assert [ref() is None for ref in refs] == [True, True]
+
+
+def test_front_back_across_large_ancestor_blocks():
+    """(4, 3) degree 4 on a seeded sample: each degree-1 simplex heads a block of about 1300.
+
+    The references bisect the codes, so they share no step with the columns.
+    """
+    cx = Complex(4, 3)
+    sample = Random(2022).sample(range(len(cx.index(4))), 2000)
+    sims = [cx.simplex(4, i) for i in sample]
+    for p in (1, 2, 3):
+        fronts, backs = cx.front_back(p, 4 - p)
+        assert [fronts[i] for i in sample] == [cx.index_of(s[: p + 1]) for s in sims]
+        assert [backs[i] for i in sample] == [cx.index_of(s[p:]) for s in sims]
 
 
 def test_codes_are_an_array_exactly_when_they_fit_in_64_bits():
