@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
 from operator import getitem, itemgetter, lshift, mul, or_
 from struct import Struct, pack
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .perms import Perm, all_perms, ordered_pairs, pair_flags, perm_from_text, perm_text
 
@@ -95,9 +95,9 @@ class FaceTable:
 class Complex:
     """Ambient (arity k, complexity t) with lazily enumerated degree tables.
 
-    The table of degree d is its sorted simplex codes. A code packs the perm
-    indices of the d + 1 levels, bits bits each, the first level highest; the
-    table is an array('Q') when (d + 1) * bits <= 64, else a list of ints.
+    The table of degree d is its sorted simplex codes: the perm indices of the
+    d + 1 levels, bits bits each, the first level highest. Each per-simplex table
+    is an array of the narrowest typecode it needs (codes past 64 bits: a list).
     """
 
     def __init__(self, k: int, t: int):
@@ -121,7 +121,8 @@ class Complex:
         self._step = lru_cache(maxsize=None)(self._walker.step)
 
     def _table(self, deg: int, codes: Iterable[int]) -> Sequence[int]:
-        return _filled("Q", codes) if (deg + 1) * self.bits <= 64 else list(codes)
+        typecode = _typecode((1 << (deg + 1) * self.bits) - 1)
+        return _filled(typecode, codes) if typecode else list(codes)
 
     def index(self, deg: int) -> Sequence[int]:
         """The sorted codes of one degree, enumerating on first use.
@@ -171,8 +172,9 @@ class Complex:
         """
         for deg in range(self._built_to + 1, up_to + 1):
             steps = list(map(self._step, chain.from_iterable(map(itemgetter(1), self._frontier))))
-            self._children[deg] = array("H", map(len, map(itemgetter(0), steps)))
-            self._lasts[deg] = _filled("H", chain.from_iterable(map(itemgetter(0), steps)))
+            levels = _typecode(len(self.perms) - 1)
+            self._children[deg] = array(levels, map(len, map(itemgetter(0), steps)))
+            self._lasts[deg] = _filled(levels, chain.from_iterable(map(itemgetter(0), steps)))
             shifted = map(lshift, self._tables[deg - 1], repeat(self.bits))
             bases = self._per_child(deg, shifted)
             self._tables[deg] = self._table(deg, map(or_, bases, self._lasts[deg]))
@@ -185,7 +187,7 @@ class Complex:
             raise ValueError("faces need a degree of at least 1")
         if deg not in self._face_tables:
             columns = (self._face_columns(deg) if deg <= self.top_degree
-                       else tuple(array("i") for _ in range(deg + 1)))
+                       else tuple(array(_typecode(-1, signed=True)) for _ in range(deg + 1)))
             self._face_tables[deg] = FaceTable(columns)
         return self._face_tables[deg]
 
@@ -201,7 +203,7 @@ class Complex:
         lasts = self._lasts[deg]
         parents = self._ancestors(deg - 1, deg)
         if deg == 1:
-            return array("i", lasts), parents
+            return array(parents.typecode, lasts), parents
         below = self.face_indices(deg - 1).columns
         # slots[y][n]: the index of (y, n) in table deg-1, or -1. Simplices y without
         # children, and the trailing row read by a degenerate d_m x (-1), share one row.
@@ -213,7 +215,7 @@ class Complex:
         cols = []
         for column in below:
             rows = self._per_child(deg, map(slots.__getitem__, column))
-            cols.append(_filled("i", map(getitem, rows, lasts)))
+            cols.append(_filled(parents.typecode, map(getitem, rows, lasts)))
         return (*cols, parents)
 
     def _per_child(self, deg: int, values: Iterable) -> Iterator:
@@ -232,11 +234,11 @@ class Complex:
         if p < 0 or q < 0:
             raise ValueError("degree must be non-negative")
         if p + q > self.top_degree:
-            return array("i"), array("i")
+            return array(_typecode(-1, signed=True)), array(_typecode(-1, signed=True))
         deg = p + q
         fronts = self.face_indices(deg).columns[-1] if q == 1 else self._ancestors(p, deg)
         if p == 0:
-            return fronts, array("i", range(len(self.index(deg))))
+            return fronts, self._ancestors(deg, deg)
         backs = self.face_indices(q + 1).columns[0]
         if p > 1:
             # Face 0 composed from the low degrees up: each gather reads the column
@@ -244,7 +246,8 @@ class Complex:
             values = list(range(len(self.index(q))))
             for d in range(q + 2, deg + 1):
                 below = list(map(values.__getitem__, backs))
-                backs = _filled("i", map(below.__getitem__, self.face_indices(d).columns[0]))
+                face0 = self.face_indices(d).columns[0]
+                backs = _filled(backs.typecode, map(below.__getitem__, face0))
         return fronts, backs
 
     def _ancestors(self, p: int, deg: int) -> array:
@@ -255,17 +258,24 @@ class Complex:
         its bytes repeated by its block's size.
         """
         total, n = len(self.index(deg)), len(self.index(p))  # builds the child counts
+        typecode = _typecode(n - 1, signed=True)
         if p == deg:
-            return array("i", range(n))
+            return array(typecode, range(n))
         sizes: Iterable[int] = self._children[deg]
         for d in range(deg - 1, p, -1):
             sizes = list(map(sum, map(islice, repeat(iter(sizes)), self._children[d])))
-        out, pieces = array("i"), map(mul, map(Struct("i").pack, range(n)), sizes)
+        out, pieces = array(typecode), map(mul, map(Struct(typecode).pack, range(n)), sizes)
         # Each join holds about 2^14 entries: all the pieces at once would hold their bytes twice.
         per_join = (n << 14) // total + 1
         while chunk := list(islice(pieces, per_join)):
             out.frombytes(b"".join(chunk))
         return out
+
+
+def _typecode(largest: int, signed: bool = False) -> Optional[str]:
+    """The narrowest typecode for 0..largest (signed: -1 too, from 'h'), None past 64 bits."""
+    codes = "hiq" if signed else "BHIQ"
+    return next((c for c in codes if largest < 1 << (8 * array(c).itemsize - signed)), None)
 
 
 def _filled(typecode: str, values: Iterable[int]) -> array:

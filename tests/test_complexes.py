@@ -1,6 +1,7 @@
 """Filtered complexes of permutation strings: enumeration, faces, actions."""
 
 import re
+import struct
 import weakref
 from array import array
 from functools import lru_cache
@@ -10,6 +11,8 @@ import pytest
 
 from becochains.complexes import (
     Complex,
+    _filled,
+    _typecode,
     count_by_degree,
     get_complex,
     is_nondegenerate,
@@ -182,22 +185,91 @@ def test_tables_extend_in_place():
 
 
 def test_tables_are_flat_arrays():
-    """Codes, face columns and front/back tables are arrays; single steps are stored columns."""
+    """Each (4, 2) table is an array of the narrowest typecode its values need.
+
+    A level takes 5 bits, so codes of degree d take 5(d + 1) bits; the 24
+    levels fit a byte; no table has more than 32768 simplices, so every index
+    column, above the top degree too, is 'h'. Single steps are stored columns.
+    """
     cx = Complex(4, 2)
     top = cx.top_degree
-    cx.index(top)
-    faces_of = {d: cx.face_indices(d) for d in range(1, top + 1)}
-    splits = {(p, d - p): cx.front_back(p, d - p) for d in range(top + 1) for p in range(d + 1)}
-    for d in range(top + 1):
-        codes = cx.index(d)
-        assert isinstance(codes, array) and codes.typecode == "Q"
+    faces_of = {d: cx.face_indices(d) for d in range(1, top + 2)}
+    splits = {(p, d - p): cx.front_back(p, d - p) for d in range(top + 2) for p in range(d + 1)}
+    assert [cx.index(d).typecode for d in range(top + 2)] == list("BHHIIIQQ")
+    assert [cx._lasts[d].typecode for d in range(1, top + 1)] == ["B"] * top
+    assert [cx._children[d].typecode for d in range(1, top + 1)] == ["B"] * top
     for table in faces_of.values():
-        assert all(isinstance(col, array) and col.typecode == "i" for col in table.columns)
+        assert [col.typecode for col in table.columns] == ["h"] * len(table.columns)
     for fronts, backs in splits.values():
-        assert all(isinstance(t, array) and t.typecode == "i" for t in (fronts, backs))
+        assert (fronts.typecode, backs.typecode) == ("h", "h")
     for p in range(1, top):
         assert splits[(p, 1)][0] is faces_of[p + 1].columns[-1]
         assert splits[(1, p)][1] is faces_of[p + 1].columns[0]
+
+
+def _assert_faces_match_on_sample(cx, deg, seed):
+    """The face columns of 500 seeded degree-deg simplices against index_of of their faces."""
+    columns = cx.face_indices(deg).columns
+    for i in Random(seed).sample(range(len(cx.index(deg))), 500):
+        expected = [-1 if f is None else cx.index_of(f) for _, f in faces(cx.simplex(deg, i))]
+        assert [col[i] for col in columns] == expected
+
+
+def test_index_columns_widen_past_32768_simplices():
+    """(4, 3): tables 2 and 3 have 12696 and 133200 simplices; degree-4 codes take 25 bits."""
+    cx = Complex(4, 3)
+    assert cx.index(4).typecode == "I"
+    assert {col.typecode for col in cx.face_indices(3).columns} == {"h"}
+    assert {col.typecode for col in cx.face_indices(4).columns} == {"i"}
+    splits = [cx.front_back(p, 4 - p) for p in range(5)]
+    assert [f.typecode + b.typecode for f, b in splits] == ["hi", "hi", "hh", "ih", "ih"]
+    _assert_faces_match_on_sample(cx, 3, 2023)
+    _assert_faces_match_on_sample(cx, 4, 2024)
+
+
+@pytest.mark.parametrize("k, deg, levels", [(5, 2, "B"), (6, 1, "H")])
+def test_level_arrays_widen_past_256_levels(k, deg, levels):
+    """(5, 2) has 120 levels, (6, 2) has 720 and up to 719 children per simplex.
+
+    Table 1 of (5, 2) has 14280 simplices and table 0 of (6, 2) 720, so both
+    face tables checked are 'h' columns.
+    """
+    cx = Complex(k, 2)
+    assert {col.typecode for col in cx.face_indices(deg).columns} == {"h"}
+    assert {cx._lasts[d].typecode for d in range(1, deg + 1)} == {levels}
+    assert {cx._children[d].typecode for d in range(1, deg + 1)} == {levels}
+    assert max(cx._children[1]) == len(cx.perms) - 1
+    _assert_faces_match_on_sample(cx, deg, 2025)
+
+
+@pytest.mark.parametrize("n, typecode", [(32768, "h"), (32769, "i")])
+def test_typecode_of_a_column_into_n_simplices(n, typecode):
+    """Such a column holds -1 for a degenerate face and 0..n - 1."""
+    assert _typecode(n - 1, signed=True) == typecode
+    assert list(_filled(typecode, [-1, n - 1])) == [-1, n - 1]
+
+
+@pytest.mark.parametrize(
+    "width, typecode",
+    [(8, "B"), (9, "H"), (16, "H"), (17, "I"), (32, "I"), (33, "Q"), (64, "Q"), (65, None)],
+)
+def test_typecode_of_codes_of_a_bit_width(width, typecode):
+    """(2, 2) packs a level in one bit, so codes of degree width - 1 take width bits."""
+    cx = Complex(2, 2)
+    largest = (1 << width) - 1
+    table = cx._table(width - 1, [0, largest])
+    assert getattr(table, "typecode", None) == typecode
+    assert list(table) == [0, largest]
+
+
+def test_a_value_too_wide_for_its_typecode_raises():
+    """No table wraps silently: packing a value one past the typecode's range fails."""
+    for typecode in "BHIQ":
+        with pytest.raises(struct.error):
+            _filled(typecode, [0, 1 << 8 * array(typecode).itemsize])
+    for typecode in "hi":
+        with pytest.raises(struct.error):
+            _filled(typecode, [-1, 1 << 8 * array(typecode).itemsize - 1])
 
 
 def test_front_back_keeps_no_column_it_builds():
