@@ -6,8 +6,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebras import (
@@ -65,8 +64,7 @@ DERIVED_COUNTS: Dict[Tuple[int, int], List[int]] = {
 }
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     expected: Any
     computed: Any
@@ -74,14 +72,13 @@ class Check:
     provenance: str
 
 
-@dataclass
 class Report:
-    command: str
-    params: Dict[str, Any]
-    checks: List[Check] = field(default_factory=list)
-    verdict: str = ""
-    # Extra top-level JSON keys, rendered after the verdict.
-    extra: Dict[str, Any] = field(default_factory=dict)
+    def __init__(self, command: str, params: Dict[str, Any]):
+        self.command, self.params = command, params
+        self.checks: List[Check] = []
+        self.verdict = ""
+        # Extra top-level JSON keys, rendered after the verdict.
+        self.extra: Dict[str, Any] = {}
 
     def add(self, name: str, expected: Any, computed: Any, provenance: str,
             passed: Optional[bool] = None) -> bool:

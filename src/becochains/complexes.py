@@ -8,6 +8,7 @@ the canonical order (lexicographic on concatenated one-line words).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
@@ -31,10 +32,11 @@ __all__ = [
 ]
 
 Simplex = Tuple[Perm, ...]
-_Step = Tuple[Tuple[int, ...], Tuple[int, ...]]
+_Step = Tuple[bytes, Sequence[int]]
 
 SUPPORTED_T = (2, 3)
 MAX_ENUM_ARITY = 6
+_CHUNK = 1 << 14  # entries per chunk of a pass over a table: small beside the table
 
 
 def is_nondegenerate(s: Simplex) -> bool:
@@ -65,21 +67,23 @@ class _Walker:
         # changed * _rep copies a pair mask into every field; _ones is field 1 all set.
         self._rep = sum(1 << (width * i + self.bits) for i in range(t - 1))
         self._ones = ((1 << width) - 1) << self.bits
+        self.levels = _typecode(len(self.perms) - 1)
+        self._keys = _typecode((1 << (self._top + width)) - 1)
 
     def step(self, key: int) -> _Step:
-        """The next levels the swap budgets allow, by increasing index, and their keys."""
+        """The next levels the swap budgets allow (packed, by increasing index) and their keys."""
         fields = key >> self.bits << self.bits
         here, most, rep = self._flags[key ^ fields], key >> self._top, self._rep
         # A pair that had changed order i-1 times and changes now has changed i times.
         carry = (fields << self._width) | self._ones
-        nexts, keys = [], []
+        nexts, keys = array(self.levels), array(self._keys)
         for nxt, flags in enumerate(self._flags):
             # Distinct levels differ in some pair's order: changed is 0 only for a repeat.
             changed = flags ^ here
             if changed and not changed & most:
                 nexts.append(nxt)
                 keys.append(fields | (carry & changed * rep) | nxt)
-        return tuple(nexts), tuple(keys)
+        return nexts.tobytes(), keys
 
 
 class FaceTable:
@@ -111,7 +115,7 @@ class Complex:
         self._tables: Dict[int, Sequence[int]] = {0: self._table(0, range(len(self.perms)))}
         self._built_to = 0
         # The steps that built the highest table: one per parent, not a key per simplex.
-        self._frontier: List[_Step] = [((), tuple(range(len(self.perms))))]
+        self._frontier: List[_Step] = [(b"", range(len(self.perms)))]
         # Per degree d >= 1: how many children in table d each simplex of table d-1
         # has, and the last level of each simplex of table d.
         self._children: Dict[int, array] = {}
@@ -170,14 +174,19 @@ class Complex:
         Extending a sorted table by increasing last level gives the next
         sorted table, since all its codes have the same length.
         """
+        levels = self._walker.levels
         for deg in range(self._built_to + 1, up_to + 1):
             steps = list(map(self._step, chain.from_iterable(map(itemgetter(1), self._frontier))))
-            levels = _typecode(len(self.perms) - 1)
-            self._children[deg] = array(levels, map(len, map(itemgetter(0), steps)))
-            self._lasts[deg] = _filled(levels, chain.from_iterable(map(itemgetter(0), steps)))
+            children = self._children[deg] = array(levels, map(len, map(itemgetter(1), steps)))
+            lasts = self._lasts[deg] = array(levels)
+            nexts = map(itemgetter(0), steps)
+            for _ in range(0, len(steps), _CHUNK):  # a join also holds 80 bytes per piece
+                lasts.frombytes(b"".join(islice(nexts, _CHUNK)))
             shifted = map(lshift, self._tables[deg - 1], repeat(self.bits))
-            bases = self._per_child(deg, shifted)
-            self._tables[deg] = self._table(deg, map(or_, bases, self._lasts[deg]))
+            typecode = _typecode((1 << (deg + 1) * self.bits) - 1)
+            self._tables[deg] = (
+                _or_lanes(_spread(typecode, shifted, children), lasts) if typecode
+                else self._table(deg, map(or_, self._per_child(deg, shifted), lasts)))
             self._frontier = steps
             self._built_to = deg
 
@@ -196,12 +205,11 @@ class Complex:
 
         A simplex is the extension (x, n) of its parent x by a last level n.
         Its last face is x, and for m < deg its face m is (d_m x, n), read
-        off the slot table of the degree below: no face code is rebuilt and
-        no code is looked up.
+        off the slot table of the degree below, in one pass for all m < deg:
+        no face code is rebuilt and no code is looked up.
         """
-        self.index(deg)  # builds the table, its child counts and last levels
-        lasts = self._lasts[deg]
-        parents = self._ancestors(deg - 1, deg)
+        parents = self._ancestors(deg - 1, deg)  # builds the table, child counts and last levels
+        lasts, children = self._lasts[deg], self._children[deg]
         if deg == 1:
             return array(parents.typecode, lasts), parents
         below = self.face_indices(deg - 1).columns
@@ -209,13 +217,21 @@ class Complex:
         # children, and the trailing row read by a degenerate d_m x (-1), share one row.
         none = [-1] * len(self.perms)  # indexed by a last level
         slots = [[-1] * len(none) if c else none for c in self._children[deg - 1]] + [none]
-        parent_rows = self._per_child(deg - 1, slots)
-        for row, n, i in zip(parent_rows, self._lasts[deg - 1], count()):
+        for row, n, i in zip(self._per_child(deg - 1, slots), self._lasts[deg - 1], count()):
             row[n] = i
-        cols = []
-        for column in below:
-            rows = self._per_child(deg, map(slots.__getitem__, column))
-            cols.append(_filled(parents.typecode, map(getitem, rows, lasts)))
+        # For each parent with children, a tuple of its slot row of every face, once per child.
+        per_parent = zip(*(map(slots.__getitem__, compress(column, children)) for column in below))
+        rows = chain.from_iterable(map(mul, per_parent, filter(None, children)))
+        cols = [array(parents.typecode, [0]) * len(lasts) for _ in below]
+        for start in range(0, len(lasts), _CHUNK):
+            chunk = lasts[start:start + _CHUNK]
+            at = chunk * deg  # each last level once per face, interleaved
+            for m in range(deg):
+                at[m::deg] = chunk
+            faces = map(getitem, islice(rows, len(at)), at)
+            faces = array(parents.typecode, pack(f"{len(at)}{parents.typecode}", *faces))
+            for m, col in enumerate(cols):
+                col[start:start + len(chunk)] = faces[m::deg]
         return (*cols, parents)
 
     def _per_child(self, deg: int, values: Iterable) -> Iterator:
@@ -247,29 +263,23 @@ class Complex:
             for d in range(q + 2, deg + 1):
                 below = list(map(values.__getitem__, backs))
                 face0 = self.face_indices(d).columns[0]
-                backs = _filled(backs.typecode, map(below.__getitem__, face0))
+                backs = _filled(backs.typecode, map(below.__getitem__, face0), len(face0))
         return fronts, backs
 
     def _ancestors(self, p: int, deg: int) -> array:
         """For each simplex of table deg, the index of its ancestor in table p <= deg.
 
         The descendants of one simplex of table p form one block of table deg,
-        its size summed from the child counts; each index is packed once and
-        its bytes repeated by its block's size.
+        its size summed from the child counts.
         """
-        total, n = len(self.index(deg)), len(self.index(p))  # builds the child counts
+        _, n = self.index(deg), len(self.index(p))  # builds the child counts
         typecode = _typecode(n - 1, signed=True)
         if p == deg:
             return array(typecode, range(n))
-        sizes: Iterable[int] = self._children[deg]
+        sizes: Sequence[int] = self._children[deg]
         for d in range(deg - 1, p, -1):
             sizes = list(map(sum, map(islice, repeat(iter(sizes)), self._children[d])))
-        out, pieces = array(typecode), map(mul, map(Struct(typecode).pack, range(n)), sizes)
-        # Each join holds about 2^14 entries: all the pieces at once would hold their bytes twice.
-        per_join = (n << 14) // total + 1
-        while chunk := list(islice(pieces, per_join)):
-            out.frombytes(b"".join(chunk))
-        return out
+        return _spread(typecode, range(n), sizes)
 
 
 def _typecode(largest: int, signed: bool = False) -> Optional[str]:
@@ -278,12 +288,39 @@ def _typecode(largest: int, signed: bool = False) -> Optional[str]:
     return next((c for c in codes if largest < 1 << (8 * array(c).itemsize - signed)), None)
 
 
-def _filled(typecode: str, values: Iterable[int]) -> array:
-    """An array of values; struct.pack converts a chunk twice as fast as array() does."""
-    out, values = array(typecode), iter(values)
-    while chunk := list(islice(values, 1 << 14)):
-        out.frombytes(pack(f"{len(chunk)}{typecode}", *chunk))
+def _filled(typecode: str, values: Iterable[int], size: int = 0) -> array:
+    """An array of values, packed by struct (twice as fast as array()), preallocated to size."""
+    out, values, start = array(typecode, [0]) * size, iter(values), 0
+    while chunk := list(islice(values, _CHUNK)):
+        out[start:start + len(chunk)] = array(typecode, pack(f"{len(chunk)}{typecode}", *chunk))
+        start += len(chunk)
     return out
+
+
+def _spread(typecode: str, values: Iterable[int], counts: Sequence[int]) -> array:
+    """An array of values, each counts[i] times: packed once, its bytes repeated."""
+    pieces, out = map(mul, map(Struct(typecode).pack, values), counts), array(typecode)
+    # Each join holds about _CHUNK entries: all the pieces at once would hold their bytes twice.
+    per_join = len(counts) * _CHUNK // (sum(counts) or 1) + 1
+    while chunk := list(islice(pieces, per_join)):
+        out.frombytes(b"".join(chunk))
+    return out
+
+
+def _or_lanes(codes: array, lasts: array) -> array:
+    """codes[i] |= lasts[i] in place: levels in the low bytes of zero lanes, one OR per chunk."""
+    size, width, order = codes.itemsize, lasts.itemsize, sys.byteorder
+    low = 0 if order == "little" else size - width
+    with memoryview(codes) as view, view.cast("B") as data:
+        for start in range(0, len(codes), _CHUNK):
+            chunk = lasts[start:start + _CHUNK].tobytes()
+            lanes = bytearray(len(chunk) // width * size)
+            for j in range(width):
+                lanes[low + j::size] = chunk[j::width]
+            span = slice(start * size, start * size + len(lanes))
+            merged = int.from_bytes(data[span], order) | int.from_bytes(lanes, order)
+            data[span] = merged.to_bytes(len(lanes), order)
+    return codes
 
 
 _COMPLEXES: Dict[Tuple[int, int], Complex] = {}

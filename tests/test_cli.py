@@ -176,6 +176,15 @@ def test_unwritable_stdout_exits_two():
     assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every cold start pays its imports: dataclasses and the inspect it pulls in take 7-12 ms."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys, becochains.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_flipped_alpha_bit_is_inconclusive(capsys, monkeypatch):
     from becochains import cli
     from becochains.algebras import HomWH, w_basis

@@ -5,13 +5,17 @@ import struct
 import weakref
 from array import array
 from functools import lru_cache
+from itertools import accumulate
 from random import Random
 
 import pytest
 
+from becochains import complexes
 from becochains.complexes import (
     Complex,
     _filled,
+    _or_lanes,
+    _spread,
     _typecode,
     count_by_degree,
     get_complex,
@@ -270,6 +274,68 @@ def test_a_value_too_wide_for_its_typecode_raises():
     for typecode in "hi":
         with pytest.raises(struct.error):
             _filled(typecode, [-1, 1 << 8 * array(typecode).itemsize - 1])
+
+
+def _all_tables(k, t):
+    """Every stored and built table of (k, t): codes, last levels, child counts, faces, splits."""
+    cx = Complex(k, t)
+    top = cx.top_degree
+    return {
+        "codes": [cx.index(d) for d in range(top + 1)],
+        "lasts": [cx._lasts[d] for d in range(1, top + 1)],
+        "children": [cx._children[d] for d in range(1, top + 1)],
+        "faces": [cx.face_indices(d).columns for d in range(1, top + 1)],
+        "splits": [cx.front_back(p, d - p) for d in range(top + 1) for p in range(d + 1)],
+    }
+
+
+@lru_cache(maxsize=None)
+def _default_tables(k, t):
+    return _all_tables(k, t)
+
+
+@pytest.mark.parametrize("k, t", [(4, 2), (3, 3)])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_tables_do_not_depend_on_the_chunk_length(k, t, chunk, monkeypatch):
+    """Chunks of 1 and 7 entries cut some parent's children apart; 2^14 cuts no table here."""
+    expected = _default_tables(k, t)
+    monkeypatch.setattr(complexes, "_CHUNK", chunk)
+    tables = _all_tables(k, t)
+    edges = {
+        start // chunk != (start + n - 1) // chunk
+        for counts in tables["children"]
+        for start, n in zip(accumulate(counts, initial=0), counts) if n
+    }
+    assert True in edges
+    for name, values in expected.items():
+        assert tables[name] == values, name
+
+
+@pytest.mark.parametrize(
+    "lane, level, bits",
+    [("B", "B", 3), ("H", "B", 5), ("I", "B", 8), ("Q", "B", 7),
+     ("H", "H", 10), ("I", "H", 10), ("Q", "H", 10)],
+)
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_spread_and_lane_or_match_a_per_element_reference(lane, level, bits, chunk, monkeypatch):
+    """Each lane holding its largest value, and 10-bit levels in 2 bytes, as at (6, 1).
+
+    A level put in the wrong bytes of its lane, or its bytes in the wrong
+    order, gives another code.
+    """
+    monkeypatch.setattr(complexes, "_CHUNK", chunk)
+    largest = (1 << 8 * array(lane).itemsize) - 1
+    rng = Random(bits)
+    parents = [largest >> bits, 0, 1, rng.randrange(largest >> bits), largest >> bits]
+    counts = [3, 0, 1, 9, 5]
+    per_child = [p for p, c in zip(parents, counts) for _ in range(c)]
+    assert _spread(lane, parents, counts).tolist() == per_child
+    lasts = array(level, [(1 << bits) - 1, 0] + [rng.randrange(1 << bits) for _ in per_child[2:]])
+    codes = _spread(lane, [p << bits for p in parents], counts)
+    _or_lanes(codes, lasts)
+    assert codes.typecode == lane
+    assert codes.tolist() == [(p << bits) | n for p, n in zip(per_child, lasts)]
+    assert codes[0] == largest
 
 
 def test_front_back_keeps_no_column_it_builds():
