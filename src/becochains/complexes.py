@@ -59,30 +59,37 @@ class _Walker:
             raise ValueError(f"arity must be between 2 and {MAX_ENUM_ARITY}")
         self.perms = all_perms(k)
         pairs = ordered_pairs(k)
-        self._flags = [pair_flags(p, pairs) for p in self.perms]
+        flags = [pair_flags(p, pairs) for p in self.perms]
         self.bits = max(1, (len(self.perms) - 1).bit_length())
         width = len(pairs)
         self.top_degree = (t - 1) * width  # every level step changes some pair's order
         self._width, self._top = width, width * (t - 2) + self.bits
-        # changed * _rep copies a pair mask into every field; _ones is field 1 all set.
-        self._rep = sum(1 << (width * i + self.bits) for i in range(t - 1))
-        self._ones = ((1 << width) - 1) << self.bits
+        self._low = (1 << self.bits) - 1
+        # Field 1 all set, and the level bits: what a move may pass into a key.
+        self._ones = ((1 << width) - 1) << self.bits | self._low
+        rep = sum(1 << (width * i + self.bits) for i in range(t - 1))
+        # Per last level, one move per other level, by increasing index: the mask of the
+        # pairs whose order changes on the way there (never 0: distinct levels differ in
+        # some pair's order), copied into every field by rep, and the level in the low bits.
+        self._moves = [
+            [(there ^ here) * rep | nxt for nxt, there in enumerate(flags) if there != here]
+            for here in flags
+        ]
         self.levels = _typecode(len(self.perms) - 1)
         self._keys = _typecode((1 << (self._top + width)) - 1)
 
     def step(self, key: int) -> _Step:
         """The next levels the swap budgets allow (packed, by increasing index) and their keys."""
-        fields = key >> self.bits << self.bits
-        here, most, rep = self._flags[key ^ fields], key >> self._top, self._rep
+        fields, low = key >> self.bits << self.bits, self._low
+        # The pairs out of budget, moved down to where field 1 of a move holds its pairs.
+        spent = key >> self._top << self.bits
         # A pair that had changed order i-1 times and changes now has changed i times.
         carry = (fields << self._width) | self._ones
         nexts, keys = array(self.levels), array(self._keys)
-        for nxt, flags in enumerate(self._flags):
-            # Distinct levels differ in some pair's order: changed is 0 only for a repeat.
-            changed = flags ^ here
-            if changed and not changed & most:
-                nexts.append(nxt)
-                keys.append(fields | (carry & changed * rep) | nxt)
+        for move in self._moves[key ^ fields]:
+            if not move & spent:
+                nexts.append(move & low)
+                keys.append(fields | (carry & move))
         return nexts.tobytes(), keys
 
 
@@ -299,9 +306,11 @@ def _filled(typecode: str, values: Iterable[int], size: int = 0) -> array:
 
 def _spread(typecode: str, values: Iterable[int], counts: Sequence[int]) -> array:
     """An array of values, each counts[i] times: packed once, its bytes repeated."""
-    pieces, out = map(mul, map(Struct(typecode).pack, values), counts), array(typecode)
+    # Only values with a count are packed: near the top degree most parents have no children.
+    pieces = map(mul, map(Struct(typecode).pack, compress(values, counts)), filter(None, counts))
     # Each join holds about _CHUNK entries: all the pieces at once would hold their bytes twice.
-    per_join = len(counts) * _CHUNK // (sum(counts) or 1) + 1
+    per_join = (len(counts) - counts.count(0)) * _CHUNK // (sum(counts) or 1) + 1
+    out = array(typecode)
     while chunk := list(islice(pieces, per_join)):
         out.frombytes(b"".join(chunk))
     return out

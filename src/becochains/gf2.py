@@ -2,13 +2,14 @@
 
 Every vector is a Python int with bit j as coordinate j. All eliminations go
 through one incremental pivot basis: each row is reduced against the rows
-kept so far, keyed by their highest set bit (the "low" of the standard column
-reduction of persistent homology), and kept when a remainder survives.
+kept so far, one slot per column indexed by their highest set bit (the "low"
+of the standard column reduction of persistent homology), and kept when a
+remainder survives.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 __all__ = ["BitMatrix", "rank", "solve", "rowspace_basis"]
 
@@ -66,19 +67,20 @@ def _flags(v: int) -> bytes:
     return bin(v)[:1:-1].encode().translate(_FLAG_BYTES)
 
 
-def _pivot_basis(rows: Iterable[int]) -> Dict[int, int]:
-    """Echelon basis of the span of rows: pivot column -> row with that highest bit.
+def _pivot_basis(rows: Iterable[int], width: int) -> List[int]:
+    """Echelon basis of the span of rows over width columns, indexed by pivot.
 
-    A kept row has no bit above its pivot but may share lower bits with other
-    kept rows; the rows are kept in the order given, so the result is
-    deterministic.
+    basis[p] is the kept row whose highest set bit is p, or 0 when no row has
+    that pivot. A kept row has no bit above its pivot but may share lower bits
+    with other kept rows; the rows are kept in the order given, so the result
+    is deterministic.
     """
-    basis: Dict[int, int] = {}
+    basis = [0] * width
     for v in rows:
         while v:
             pivot = v.bit_length() - 1
-            row = basis.get(pivot)
-            if row is None:
+            row = basis[pivot]
+            if not row:
                 basis[pivot] = v
                 break
             v ^= row
@@ -87,7 +89,7 @@ def _pivot_basis(rows: Iterable[int]) -> Dict[int, int]:
 
 def rank(m: BitMatrix) -> int:
     """Row rank over GF(2); does not mutate the input."""
-    return len(_pivot_basis(m.data))
+    return m.cols - _pivot_basis(m.data, m.cols).count(0)
 
 
 def solve(m: BitMatrix, b: int) -> Optional[int]:
@@ -99,14 +101,13 @@ def solve(m: BitMatrix, b: int) -> Optional[int]:
     if b < 0 or b >> m.rows:
         raise ValueError("right-hand side has bits beyond the row count")
     # Column j moves to bit j + 1 and the right-hand side to bit 0, below every pivot.
-    basis = _pivot_basis(r << 1 | (b >> i & 1) for i, r in enumerate(m.data))
+    basis = _pivot_basis((r << 1 | (b >> i & 1) for i, r in enumerate(m.data)), m.cols + 1)
     # Inconsistent iff some row reduces to the bare right-hand-side bit.
-    if 0 in basis:
+    if basis[0]:
         return None
     x = 0
-    for pivot in sorted(basis):
-        row = basis[pivot]
-        if ((row ^ (1 << pivot)) & x).bit_count() & 1 != row & 1:
+    for pivot, row in enumerate(basis):
+        if row and ((row ^ (1 << pivot)) & x).bit_count() & 1 != row & 1:
             x |= 1 << pivot
     return x >> 1
 
@@ -117,5 +118,4 @@ def rowspace_basis(m: BitMatrix) -> List[int]:
     Each row's highest set bit is its pivot column and the pivots decrease
     strictly, so one pass in order decides membership in the row space.
     """
-    basis = _pivot_basis(m.data)
-    return [basis[p] for p in sorted(basis, reverse=True)]
+    return list(filter(None, reversed(_pivot_basis(m.data, m.cols))))

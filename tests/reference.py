@@ -280,3 +280,39 @@ def weak_order_counts(k, max_degree):
         ends = longer
         counts.append(sum(ends.values()))
     return [factorial(k) * c for c in counts]
+
+
+@lru_cache(maxsize=None)
+def _walker_levels(k):
+    """Every level of arity k lexicographically, with its mask of inverted label pairs."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    levels = list(permutations(range(1, k + 1)))
+    return pairs, [sum(1 << b for b, (i, j) in enumerate(pairs) if p.index(i) > p.index(j))
+                   for p in levels]
+
+
+def walker_step(k, t, key):
+    """The levels that may follow a string with this key, and the keys of the longer strings.
+
+    The key holds the index of the last level in its low `bits` bits, then
+    for i = 1..t-1 a field of one bit per label pair, set when that pair has
+    changed order at least i times. Every candidate level is tried in turn,
+    and the field updates of each are recomputed from the pair masks.
+    """
+    pairs, flags = _walker_levels(k)
+    bits = max(1, (len(flags) - 1).bit_length())
+    width = len(pairs)
+    top = width * (t - 2) + bits  # the lowest bit of field t-1: pairs out of budget
+    rep = sum(1 << (width * i + bits) for i in range(t - 1))
+    ones = ((1 << width) - 1) << bits
+    fields = key >> bits << bits
+    here, most = flags[key ^ fields], key >> top
+    # A pair that had changed order i-1 times and changes now has changed i times.
+    carry = (fields << width) | ones
+    nexts, keys = [], []
+    for nxt, there in enumerate(flags):
+        changed = there ^ here
+        if changed and not changed & most:
+            nexts.append(nxt)
+            keys.append(fields | (carry & changed * rep) | nxt)
+    return nexts, keys

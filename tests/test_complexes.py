@@ -4,6 +4,7 @@ import re
 import struct
 import weakref
 from array import array
+from collections import defaultdict
 from functools import lru_cache
 from itertools import accumulate
 from random import Random
@@ -24,7 +25,7 @@ from becochains.complexes import (
     simplex_text,
 )
 from becochains.perms import act, all_perms
-from reference import faces, in_filtration, swap_count, weak_order_counts
+from reference import faces, in_filtration, swap_count, walker_step, weak_order_counts
 
 # Published per-degree table sizes for the small filtered complexes.
 COUNTS = {
@@ -309,6 +310,50 @@ def test_tables_do_not_depend_on_the_chunk_length(k, t, chunk, monkeypatch):
     assert True in edges
     for name, values in expected.items():
         assert tables[name] == values, name
+
+
+@pytest.mark.parametrize("k, t", [(4, 2), (3, 3)])
+def test_codes_past_the_widest_typecode_are_built_as_lists(k, t, monkeypatch):
+    """Unsigned widths past 16 bits declared too wide for any typecode, as 65 bits are.
+
+    Codes of (4, 2) from degree 3 and of (3, 3) from degree 5 then take the
+    list case of _build; every table must be the same as the default's.
+    """
+    expected, bits = _default_tables(k, t), Complex(k, t).bits
+    real = complexes._typecode
+    monkeypatch.setattr(
+        complexes, "_typecode",
+        lambda largest, signed=False: None if not signed and largest >> 16 else real(largest, signed))
+    tables = _all_tables(k, t)
+    widths = [(d + 1) * bits for d in range(len(expected["codes"]))]
+    assert [isinstance(c, list) for c in tables["codes"]] == [w > 16 for w in widths]
+    assert True in (w > 16 for w in widths)
+    assert [list(c) for c in tables["codes"]] == [list(c) for c in expected["codes"]]
+    for name in ("lasts", "children", "faces", "splits"):
+        assert tables[name] == expected[name], name
+
+
+@pytest.mark.parametrize("k, t, top", [(3, 2, None), (4, 2, None), (3, 3, None), (4, 3, 3), (5, 2, 3)])
+def test_walker_steps_match_the_per_level_reference(k, t, top):
+    """Every key reached from every level, through the top degree or degree 3.
+
+    The strings are counted per key on the way, so the counts check
+    count_by_degree, which starts from the identity only.
+    """
+    w = complexes._Walker(k, t)
+    top = w.top_degree if top is None else top
+    level, counts = dict.fromkeys(range(len(w.perms)), 1), []
+    for _ in range(top + 1):
+        counts.append(sum(level.values()))
+        longer = defaultdict(int)
+        for key, n in level.items():
+            nexts, keys = w.step(key)
+            assert (array(w.levels, nexts).tolist(), keys.tolist()) == walker_step(k, t, key)
+            for child in keys:
+                longer[child] += n
+        level = longer
+    assert count_by_degree(k, t, top) == counts
+    assert (not level) == (top == w.top_degree)
 
 
 @pytest.mark.parametrize(

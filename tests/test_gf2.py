@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from becochains.gf2 import BitMatrix, rank, rowspace_basis, solve
+from becochains.gf2 import BitMatrix, _pivot_basis, rank, rowspace_basis, solve
 from reference import low_pivot_rank, mat_vec
 
 
@@ -197,3 +197,60 @@ def test_mul_vec_is_linear():
     for _ in range(20):
         x, y = rng.getrandbits(6), rng.getrandbits(6)
         assert mat_vec(m.data, x ^ y) == mat_vec(m.data, x) ^ mat_vec(m.data, y)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_pivot_basis_has_one_slot_per_column(shape):
+    """Slot p holds 0 or a row whose highest set bit is p; the nonzero slots are the row space."""
+    for m in seeded_matrices(shape, 107):
+        basis = _pivot_basis(m.data, m.cols)
+        assert len(basis) == m.cols
+        assert all(row.bit_length() - 1 == p for p, row in enumerate(basis) if row)
+        kept = [row for row in basis if row]
+        assert len(kept) == rank(m) == low_pivot_rank(m.data + kept)
+        # rowspace_basis: the same rows, by strictly descending pivot
+        highs = [r.bit_length() for r in rowspace_basis(m)]
+        assert rowspace_basis(m) == kept[::-1] and highs == sorted(set(highs), reverse=True)
+
+
+def test_no_columns():
+    """Width 0: no slots, rank 0, an empty row space, and only b = 0 solvable."""
+    assert _pivot_basis([], 0) == [] and _pivot_basis([0, 0], 0) == []
+    m = BitMatrix(3, 0, [0, 0, 0])
+    assert rank(m) == 0 and rowspace_basis(m) == []
+    assert solve(m, 0) == 0 and solve(m, 0b100) is None
+    empty = BitMatrix(0, 0, [])
+    assert rank(empty) == 0 and rowspace_basis(empty) == [] and solve(empty, 0) == 0
+
+
+@pytest.mark.parametrize("cols", [1, 2, 63, 64, 65, 200])
+def test_a_row_holding_only_the_last_column(cols):
+    """Its pivot is the last slot, cols - 1, the highest a row over cols columns can reach."""
+    top = 1 << (cols - 1)
+    m = BitMatrix(2, cols, [0, top])
+    basis = _pivot_basis(m.data, m.cols)
+    assert basis[-1] == top and basis.count(0) == cols - 1
+    assert rank(m) == 1 and rowspace_basis(m) == [top]
+    assert solve(m, 0b10) == top and solve(m, 0b01) is None
+
+
+@pytest.mark.parametrize("rows, b", [([0b1, 0b1], 0b01), ([0], 0b1), ([0b11, 0b01, 0b10], 0b100)])
+def test_inconsistent_solve_leaves_only_the_right_hand_side_bit(rows, b):
+    """Some row reduces to the bare right-hand-side bit, so slot 0 of the augmented basis is 1."""
+    m = BitMatrix(len(rows), 2, rows)
+    augmented = [r << 1 | (b >> i & 1) for i, r in enumerate(rows)]
+    assert _pivot_basis(augmented, m.cols + 1)[0] == 1
+    assert solve(m, b) is None
+    assert all(mat_vec(rows, x) != b for x in range(4))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES) + ["large"])
+def test_rank_matches_the_low_pivot_reference(shape):
+    """Against elimination on the lowest set bit, also on shapes too large to enumerate."""
+    rng = random.Random(108)
+    matrices = (
+        [random_matrix(rng, rng.randint(50, 200), rng.randint(50, 200), 0.05) for _ in range(5)]
+        if shape == "large" else seeded_matrices(shape, 109)
+    )
+    for m in matrices:
+        assert rank(m) == low_pivot_rank(m.data)
