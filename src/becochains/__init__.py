@@ -40,7 +40,6 @@ from .algebras import (
     w_basis,
     word_text,
     yb_basis,
-    yb_normalize,
 )
 from .cycles import (
     class_of_cocycle,
@@ -78,7 +77,7 @@ __all__ = [
     "parse_cochain", "pullback",
     "HomWH", "arnold_basis", "arnold_normalize", "convolution",
     "coproduct", "coproduct_component", "d_w1", "hochschild_d",
-    "parse_word", "tau", "w_basis", "word_text", "yb_basis", "yb_normalize",
+    "parse_word", "tau", "w_basis", "word_text", "yb_basis",
     "class_of_cocycle", "gamma", "gamma_gamma", "h2_cycle_table",
     "mult", "circ", "omega_product", "pairing_matrix", "t_cycle",
     "alpha_hom", "beta", "dual_d", "gauge_shift", "hochschild_matrix",

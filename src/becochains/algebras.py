@@ -11,9 +11,8 @@ is the identity on generators.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from operator import xor
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .gf2 import _bits
@@ -22,7 +21,6 @@ __all__ = [
     "Pair",
     "Word",
     "arnold_normalize",
-    "yb_normalize",
     "arnold_basis",
     "yb_basis",
     "w_basis",
@@ -70,16 +68,6 @@ def _arnold_rewrite(word: Word) -> Element:
     (i1, j), (i2, _) = word[m], word[m + 1]
     rest = word[:m] + word[m + 2:]
     return _arnold_rewrite(rest + ((i1, i2), (i2, j))) ^ _arnold_rewrite(rest + ((i1, i2), (i1, j)))
-
-
-def yb_normalize(raw: Sequence[Sequence[int]]) -> Element:
-    """Admissible-basis expansion of a product of Yang-Baxter generators, built
-    from the empty word by right multiplication with one generator at a time."""
-    acc: Set[Word] = {()}
-    for a, b in raw:
-        g = _normpair(a, b)
-        acc = reduce(xor, (_yb_times(x, g) for x in acc), set())
-    return frozenset(acc)
 
 
 def _yb_times(x: Word, g: Pair) -> Set[Word]:

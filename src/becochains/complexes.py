@@ -14,9 +14,9 @@ from bisect import bisect_left
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
-from operator import getitem, itemgetter, lshift, mul, or_
+from operator import getitem, itemgetter, lshift, mul
 from struct import Struct, pack
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .perms import Perm, all_perms, ordered_pairs, pair_flags, perm_from_text, perm_text
 
@@ -68,15 +68,14 @@ class _Walker:
         # Field 1 all set, and the level bits: what a move may pass into a key.
         self._ones = ((1 << width) - 1) << self.bits | self._low
         rep = sum(1 << (width * i + self.bits) for i in range(t - 1))
-        # Per last level, one move per other level, by increasing index: the mask of the
-        # pairs whose order changes on the way there (never 0: distinct levels differ in
-        # some pair's order), copied into every field by rep, and the level in the low bits.
-        self._moves = [
-            [(there ^ here) * rep | nxt for nxt, there in enumerate(flags) if there != here]
-            for here in flags
-        ]
         self.levels = _typecode(len(self.perms) - 1)
         self._keys = _typecode((1 << (self._top + width)) - 1)
+        # Per last level, an array of keys: one move per other level, by increasing index,
+        # the mask of the pairs whose order changes on the way there (never 0: distinct levels
+        # differ in some pair's order), copied into every field by rep, the level in the low bits.
+        self._moves = [array(self._keys, [(there ^ here) * rep | nxt
+                                          for nxt, there in enumerate(flags) if there != here])
+                       for here in flags]
 
     def step(self, key: int) -> _Step:
         """The next levels the swap budgets allow (packed, by increasing index) and their keys."""
@@ -94,7 +93,8 @@ class _Walker:
 
 
 class FaceTable:
-    """Faces of one degree: columns[m][i] indexes face m of simplex i below, -1 if degenerate."""
+    """Faces of one degree: columns[m][i] indexes face m of simplex i below, -1 if degenerate.
+    Its len is the simplex count, read by bench/workloads.py: a bare tuple's would be deg + 1."""
 
     def __init__(self, columns: Tuple[array, ...]):
         self.columns = columns
@@ -108,7 +108,7 @@ class Complex:
 
     The table of degree d is its sorted simplex codes: the perm indices of the
     d + 1 levels, bits bits each, the first level highest. Each per-simplex table
-    is an array of the narrowest typecode it needs (codes past 64 bits: a list).
+    is an array of the narrowest typecode it needs; codes past 64 bits raise a ValueError.
     """
 
     def __init__(self, k: int, t: int):
@@ -119,7 +119,7 @@ class Complex:
         self.bits = self._walker.bits
         self.top_degree = self._walker.top_degree
         self._perm_index = {p: i for i, p in enumerate(self.perms)}
-        self._tables: Dict[int, Sequence[int]] = {0: self._table(0, range(len(self.perms)))}
+        self._tables: Dict[int, array] = {0: self._table(0, range(len(self.perms)))}
         self._built_to = 0
         # The steps that built the highest table: one per parent, not a key per simplex.
         self._frontier: List[_Step] = [(b"", range(len(self.perms)))]
@@ -131,21 +131,21 @@ class Complex:
         # Many strings share a key, across every build of this complex.
         self._step = lru_cache(maxsize=None)(self._walker.step)
 
-    def _table(self, deg: int, codes: Iterable[int]) -> Sequence[int]:
+    def _table(self, deg: int, codes: Iterable[int] = ()) -> array:
         typecode = _typecode((1 << (deg + 1) * self.bits) - 1)
-        return _filled(typecode, codes) if typecode else list(codes)
+        if typecode is None:
+            raise ValueError(f"codes of degree {deg} take {(deg + 1) * self.bits} bits, past 64")
+        return _filled(typecode, codes)
 
-    def index(self, deg: int) -> Sequence[int]:
+    def index(self, deg: int) -> array:
         """The sorted codes of one degree, enumerating on first use.
 
-        Degrees above the top are empty tables: those cochain groups vanish.
+        Degrees above the top are empty 'Q' arrays, at any width: those cochain groups vanish.
         """
         if deg < 0:
             raise ValueError("degree must be non-negative")
         if deg > self.top_degree:
-            if deg not in self._tables:
-                self._tables[deg] = self._table(deg, [])
-            return self._tables[deg]
+            return self._tables.setdefault(deg, array("Q"))
         if deg > self._built_to:
             self._build(deg)
         return self._tables[deg]
@@ -181,6 +181,7 @@ class Complex:
         Extending a sorted table by increasing last level gives the next
         sorted table, since all its codes have the same length.
         """
+        self._table(up_to)  # codes past 64 bits raise here, before any degree is built
         levels = self._walker.levels
         for deg in range(self._built_to + 1, up_to + 1):
             steps = list(map(self._step, chain.from_iterable(map(itemgetter(1), self._frontier))))
@@ -190,10 +191,8 @@ class Complex:
             for _ in range(0, len(steps), _CHUNK):  # a join also holds 80 bytes per piece
                 lasts.frombytes(b"".join(islice(nexts, _CHUNK)))
             shifted = map(lshift, self._tables[deg - 1], repeat(self.bits))
-            typecode = _typecode((1 << (deg + 1) * self.bits) - 1)
-            self._tables[deg] = (
-                _or_lanes(_spread(typecode, shifted, children), lasts) if typecode
-                else self._table(deg, map(or_, self._per_child(deg, shifted), lasts)))
+            typecode = self._table(deg).typecode
+            self._tables[deg] = _or_lanes(_spread(typecode, shifted, children), lasts)
             self._frontier = steps
             self._built_to = deg
 
@@ -224,7 +223,10 @@ class Complex:
         # children, and the trailing row read by a degenerate d_m x (-1), share one row.
         none = [-1] * len(self.perms)  # indexed by a last level
         slots = [[-1] * len(none) if c else none for c in self._children[deg - 1]] + [none]
-        for row, n, i in zip(self._per_child(deg - 1, slots), self._lasts[deg - 1], count()):
+        # Each row once per child in table deg-1 (compress skips the childless, most of a table).
+        above = self._children[deg - 1]
+        per_child = chain.from_iterable(map(repeat, compress(slots, above), filter(None, above)))
+        for row, n, i in zip(per_child, self._lasts[deg - 1], count()):
             row[n] = i
         # For each parent with children, a tuple of its slot row of every face, once per child.
         per_parent = zip(*(map(slots.__getitem__, compress(column, children)) for column in below))
@@ -240,12 +242,6 @@ class Complex:
             for m, col in enumerate(cols):
                 col[start:start + len(chunk)] = faces[m::deg]
         return (*cols, parents)
-
-    def _per_child(self, deg: int, values: Iterable) -> Iterator:
-        """Of values, one per simplex of table deg-1, each once per child in table deg."""
-        # compress skips the childless, most of a table near the top degree.
-        children = self._children[deg]
-        return chain.from_iterable(map(repeat, compress(values, children), filter(None, children)))
 
     def front_back(self, p: int, q: int) -> Tuple[array, array]:
         """Front p-face and back q-face indices for every degree p+q simplex.

@@ -7,12 +7,19 @@ oracles rewrite the leftmost bad spot from a worklist, where the package
 recurses (Arnold) or multiplies by one generator at a time (Yang-Baxter).
 arnold_mult extends the Arnold one bilinearly, and yb_splits reads the
 coproduct splits off the Yang-Baxter one.
+
+The one exception is yb_normalize, the fold of the package's right
+multiplication by one generator (algebras._yb_times) over a raw word: the
+tests hold it against yb_worklist_normalize, so that step is what they check.
 """
 
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import factorial
+from operator import xor
+
+from becochains.algebras import _yb_times
 
 # Permutations are one-line words (p(1), ..., p(k)); simplices are tuples of them.
 
@@ -174,6 +181,18 @@ def yb_worklist_normalize(raw):
             repls.append((((v, j), (u, j))))
         for repl in repls:
             pending ^= {head + repl + tail}
+    return frozenset(acc)
+
+
+def yb_normalize(raw):
+    """Admissible Yang-Baxter expansion of a raw word, from the empty word by
+    right multiplication with one generator at a time."""
+    if any(a == b for a, b in raw):
+        raise ValueError("generator indices must be distinct")
+    acc = {()}
+    for a, b in raw:
+        g = (min(a, b), max(a, b))
+        acc = reduce(xor, (_yb_times(x, g) for x in acc), set())
     return frozenset(acc)
 
 

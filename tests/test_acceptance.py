@@ -11,7 +11,6 @@ from becochains.algebras import (
     hochschild_d,
     w_basis,
     yb_basis,
-    yb_normalize,
 )
 from becochains.cochains import (
     F2Cochain,
@@ -41,7 +40,7 @@ from becochains.obstruction import (
     phi_d,
     random_gauge,
 )
-from reference import boundary, in_filtration
+from reference import boundary, in_filtration, yb_normalize
 
 
 def test_criterion_1_enumeration_counts():

@@ -19,7 +19,6 @@ from becochains.algebras import (
     w_basis,
     word_text,
     yb_basis,
-    yb_normalize,
 )
 from reference import (
     admissible_words,
@@ -28,6 +27,7 @@ from reference import (
     arnold_worklist_normalize,
     is_admissible_arnold,
     is_admissible_yb,
+    yb_normalize,
     yb_splits,
     yb_worklist_normalize,
 )

@@ -2,6 +2,8 @@
 
 import re
 import struct
+import time
+import tracemalloc
 import weakref
 from array import array
 from collections import defaultdict
@@ -259,11 +261,18 @@ def test_typecode_of_a_column_into_n_simplices(n, typecode):
     [(8, "B"), (9, "H"), (16, "H"), (17, "I"), (32, "I"), (33, "Q"), (64, "Q"), (65, None)],
 )
 def test_typecode_of_codes_of_a_bit_width(width, typecode):
-    """(2, 2) packs a level in one bit, so codes of degree width - 1 take width bits."""
+    """(2, 2) packs a level in one bit, so codes of degree width - 1 take width bits.
+
+    No typecode holds 65 bits, so such codes raise rather than fall back to a list.
+    """
     cx = Complex(2, 2)
     largest = (1 << width) - 1
+    if typecode is None:
+        with pytest.raises(ValueError, match=f"degree {width - 1} take {width} bits"):
+            cx._table(width - 1, [0, largest])
+        return
     table = cx._table(width - 1, [0, largest])
-    assert getattr(table, "typecode", None) == typecode
+    assert table.typecode == typecode
     assert list(table) == [0, largest]
 
 
@@ -312,25 +321,30 @@ def test_tables_do_not_depend_on_the_chunk_length(k, t, chunk, monkeypatch):
         assert tables[name] == values, name
 
 
-@pytest.mark.parametrize("k, t", [(4, 2), (3, 3)])
-def test_codes_past_the_widest_typecode_are_built_as_lists(k, t, monkeypatch):
-    """Unsigned widths past 16 bits declared too wide for any typecode, as 65 bits are.
+@pytest.mark.parametrize("k, t, deg, width", [(4, 3, 12, 65), (5, 2, 9, 70)])
+def test_codes_past_64_bits_raise_before_any_degree_is_built(k, t, deg, width):
+    """The lowest such degrees, at or below the top, each after millions of lower simplices."""
+    cx = Complex(k, t)
+    assert deg <= cx.top_degree and (deg + 1) * cx.bits == width
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"degree {deg} take {width} bits"):
+        cx.index(deg)
+    assert time.perf_counter() - start < 1
+    assert cx._built_to == 0 and list(cx._tables) == [0]
+    assert len(cx.index(1)) == count_by_degree(k, t, 1)[1]  # the complex is still usable
 
-    Codes of (4, 2) from degree 3 and of (3, 3) from degree 5 then take the
-    list case of _build; every table must be the same as the default's.
-    """
-    expected, bits = _default_tables(k, t), Complex(k, t).bits
-    real = complexes._typecode
-    monkeypatch.setattr(
-        complexes, "_typecode",
-        lambda largest, signed=False: None if not signed and largest >> 16 else real(largest, signed))
-    tables = _all_tables(k, t)
-    widths = [(d + 1) * bits for d in range(len(expected["codes"]))]
-    assert [isinstance(c, list) for c in tables["codes"]] == [w > 16 for w in widths]
-    assert True in (w > 16 for w in widths)
-    assert [list(c) for c in tables["codes"]] == [list(c) for c in expected["codes"]]
-    for name in ("lasts", "children", "faces", "splits"):
-        assert tables[name] == expected[name], name
+
+def test_walker_move_table_holds_a_few_bytes_per_move():
+    """720 * 719 moves at (6, 2): about 2.1 MB as arrays of 4-byte keys, 21 MB as int objects."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        walker = complexes._Walker(6, 2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, walker._moves)) == 720 * 719
+    assert held < 4 << 20, held
 
 
 @pytest.mark.parametrize("k, t, top", [(3, 2, None), (4, 2, None), (3, 3, None), (4, 3, 3), (5, 2, 3)])
@@ -406,14 +420,13 @@ def test_front_back_across_large_ancestor_blocks():
         assert [backs[i] for i in sample] == [cx.index_of(s[p:]) for s in sims]
 
 
-def test_codes_are_an_array_exactly_when_they_fit_in_64_bits():
-    """(2, 2) packs a level in one bit, so degree 63 fills 64 bits and degree 64 needs 65."""
+def test_degrees_above_the_top_are_empty_arrays_of_any_width():
+    """(2, 2) packs a level in one bit, so its codes of degree 64 would take 65 bits."""
     cx = Complex(2, 2)
-    assert cx.bits == 1
-    assert isinstance(cx.index(63), array) and cx.index(63).typecode == "Q"
-    assert isinstance(cx.index(64), list)
-    assert list(cx._table(63, [0, (1 << 64) - 1])) == [0, (1 << 64) - 1]
-    assert cx._table(64, [1 << 64]) == [1 << 64]
+    assert cx.bits == 1 and cx.top_degree == 1
+    for deg in (2, 63, 64, 200):
+        assert isinstance(cx.index(deg), array) and len(cx.index(deg)) == 0
+    assert cx.index(64) is cx.index(64)
 
 
 def test_simplicial_identities():

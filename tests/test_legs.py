@@ -26,8 +26,7 @@ PRIMITIVES = frozenset({
     # the bases and the normalizers behind them
     "algebras.arnold_basis", "algebras.yb_basis", "algebras._admissible_words",
     "algebras.w_basis", "algebras.arnold_normalize", "algebras._arnold_rewrite",
-    "algebras.yb_normalize", "algebras._yb_times",
-    "algebras._normpair",
+    "algebras._yb_times", "algebras._normpair",
     # the coproduct splits, the Arnold products and the twisting cochain
     "algebras._yb_index", "algebras._yb_products", "algebras._split_table",
     "algebras.coproduct_component",
