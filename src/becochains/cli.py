@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebras import (
@@ -45,67 +45,49 @@ from .obstruction import (
     triangle,
 )
 
-# Displayed per-degree table sizes, by (arity, filtration).
-EXPECTED_COUNTS: Dict[Tuple[int, int], List[int]] = {
-    (2, 2): [2, 2],
-    (3, 2): [6, 30, 36, 12],
-    (4, 2): [24, 552, 2496, 4704, 4416, 2064, 384],
-    (2, 3): [2, 2, 2],
-    (3, 3): [6, 30, 150, 360, 420, 228, 48],
-    (4, 3): [24, 552, 12696, 133200, 725136, 2329152],
+# Per-degree table sizes of each supported table, by (arity, filtration), with
+# their provenance. A "paper" count is displayed as the expected value. No
+# published table gives a "derived" count, so it is reported with no displayed
+# expected value. At t = 2 each label pair changes order at most once, so the
+# derived counts are k! times the strict chains from the identity in the weak
+# order of S_k (inversion sets under inclusion).
+REFERENCE_COUNTS: Dict[Tuple[int, int], Tuple[str, List[int]]] = {
+    (2, 2): ("paper", [2, 2]),
+    (3, 2): ("paper", [6, 30, 36, 12]),
+    (4, 2): ("paper", [24, 552, 2496, 4704, 4416, 2064, 384]),
+    (2, 3): ("paper", [2, 2, 2]),
+    (3, 3): ("paper", [6, 30, 150, 360, 420, 228, 48]),
+    (4, 3): ("paper", [24, 552, 12696, 133200, 725136, 2329152]),
+    (5, 2): ("derived", [120, 14280, 199200, 1107840, 3333120]),
 }
-
-# Per-degree table sizes that no published table gives, reported as derived
-# with no displayed expected value. At t = 2 each label pair changes order at
-# most once, so they are k! times the strict chains from the identity in the
-# weak order of S_k (inversion sets under inclusion).
-DERIVED_COUNTS: Dict[Tuple[int, int], List[int]] = {
-    (5, 2): [120, 14280, 199200, 1107840, 3333120],
-}
-
-
-class Check(NamedTuple):
-    name: str
-    expected: Any
-    computed: Any
-    passed: bool
-    provenance: str
 
 
 class Report:
     def __init__(self, command: str, params: Dict[str, Any]):
         self.command, self.params = command, params
-        self.checks: List[Check] = []
+        # Each check as its JSON object: name, expected, computed, pass, provenance.
+        self.checks: List[Dict[str, Any]] = []
         self.verdict = ""
         # Extra top-level JSON keys, rendered after the verdict.
         self.extra: Dict[str, Any] = {}
 
     def add(self, name: str, expected: Any, computed: Any, provenance: str,
-            passed: Optional[bool] = None) -> bool:
+            passed: Optional[bool] = None) -> None:
         if passed is None:
             passed = expected == computed
-        self.checks.append(Check(name, expected, computed, passed, provenance))
-        return passed
+        self.checks.append({"name": name, "expected": expected, "computed": computed,
+                            "pass": passed, "provenance": provenance})
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c["pass"] for c in self.checks)
 
     def to_json(self) -> str:
         payload = {
             "version": __version__,
             "command": self.command,
             "params": self.params,
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "pass": c.passed,
-                    "provenance": c.provenance,
-                }
-                for c in self.checks
-            ],
+            "checks": self.checks,
             "verdict": self.verdict,
             **self.extra,
         }
@@ -116,10 +98,10 @@ class Report:
         if self.params:
             lines.append("params: " + " ".join(f"{k}={v}" for k, v in self.params.items()))
         for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            exp = "-" if c.expected is None else c.expected
+            status = "PASS" if c["pass"] else "FAIL"
+            exp = "-" if c["expected"] is None else c["expected"]
             lines.append(
-                f"{status} {c.name}: expected={exp} computed={c.computed} [{c.provenance}]"
+                f"{status} {c['name']}: expected={exp} computed={c['computed']} [{c['provenance']}]"
             )
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines) + "\n"
@@ -141,21 +123,13 @@ def _pairs_text(pairs) -> str:
     return " + ".join(sorted(f"{word_text('B', u)} (x) {word_text('B', v)}" for u, v in pairs))
 
 
-def _reference_counts(k: int, t: int) -> Optional[List[int]]:
-    """The stored counts of a supported table; dims enumerates no degree past them."""
-    return EXPECTED_COUNTS.get((k, t)) or DERIVED_COUNTS.get((k, t))
-
-
 def cmd_dims(k: int, t: int, max_degree: Optional[int]) -> Report:
-    reference = _reference_counts(k, t)
+    provenance, reference = REFERENCE_COUNTS[k, t]
     limit = len(reference) - 1 if max_degree is None else max_degree
     report = Report("dims", {"k": k, "t": t, "max_degree": limit})
-    paper = (k, t) in EXPECTED_COUNTS
     for deg, n in enumerate(count_by_degree(k, t, limit)):
-        if paper:
-            report.add(f"count-deg-{deg}", reference[deg], n, "paper")
-        else:
-            report.add(f"count-deg-{deg}", None, n, "derived", passed=n == reference[deg])
+        expected = reference[deg] if provenance == "paper" else None
+        report.add(f"count-deg-{deg}", expected, n, provenance, passed=n == reference[deg])
     report.verdict = "PASS" if report.all_passed else "FAIL"
     return report
 
@@ -307,8 +281,9 @@ def _alpha_matrix_payload(a: HomWH) -> Dict[str, Any]:
 def _diagnostic_dump(report: Report) -> str:
     lines = ["consistency failure diagnostic"]
     for c in report.checks:
-        if not c.passed:
-            lines.append(f"failing check: {c.name} expected={c.expected} computed={c.computed}")
+        if not c["pass"]:
+            lines.append(f"failing check: {c['name']} expected={c['expected']} "
+                         f"computed={c['computed']}")
     payload = report.extra["alpha_matrix"]
     lines.append("alpha matrix (rows = level-2 generators, cols = quadratic basis):")
     for label, bits in zip(payload["rows"], payload["bits"]):
@@ -350,10 +325,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "dims":
         k, t = args.k, args.t
-        reference = _reference_counts(k, t)
-        if reference is None:
+        if (k, t) not in REFERENCE_COUNTS:
             print(f"error: unsupported table k={k} t={t}", file=sys.stderr)
             return 2
+        _, reference = REFERENCE_COUNTS[k, t]
         if args.max_degree is not None and not (0 <= args.max_degree < len(reference)):
             print(f"error: max degree out of range for k={k} t={t}", file=sys.stderr)
             return 2

@@ -365,8 +365,6 @@ def count_by_degree(k: int, t: int, max_degree: int) -> List[int]:
 def simplex_from_text(text: str) -> Simplex:
     """Parse levels joined by "|", e.g. "132|312|231"."""
     levels = tuple(perm_from_text(part) for part in text.split("|"))
-    if not levels:
-        raise ValueError("empty simplex text")
     if len({len(p) for p in levels}) != 1:
         raise ValueError("levels must share one arity")
     return levels

@@ -40,10 +40,9 @@ def test_dims_json_schema(capsys):
 
 
 def test_every_dims_count_has_a_reference(capsys):
-    from becochains.cli import DERIVED_COUNTS, EXPECTED_COUNTS
+    from becochains.cli import REFERENCE_COUNTS
 
-    assert not set(EXPECTED_COUNTS) & set(DERIVED_COUNTS)
-    for (k, t), reference in {**EXPECTED_COUNTS, **DERIVED_COUNTS}.items():
+    for (k, t), (provenance, reference) in REFERENCE_COUNTS.items():
         # no stored count lies past the top degree of its complex
         assert len(reference) - 1 <= (t - 1) * k * (k - 1) // 2, (k, t)
         # the default report checks every stored count, and no degree past them
@@ -52,11 +51,14 @@ def test_every_dims_count_has_a_reference(capsys):
         payload = json.loads(out)
         assert payload["params"]["max_degree"] == len(reference) - 1
         assert [c["computed"] for c in payload["checks"]] == reference, (k, t)
+        assert {c["provenance"] for c in payload["checks"]} == {provenance}, (k, t)
         code, _, err = run(capsys, "dims", "--k", str(k), "--t", str(t),
                            "--max-degree", str(len(reference)))
         assert code == 2
         assert "max degree out of range" in err
-    assert DERIVED_COUNTS == {(5, 2): weak_order_counts(5, 4)}
+    derived = {kt: counts for kt, (provenance, counts) in REFERENCE_COUNTS.items()
+               if provenance == "derived"}
+    assert derived == {(5, 2): weak_order_counts(5, 4)}
 
 
 def test_dims_derived_miscount_fails(capsys, monkeypatch):
