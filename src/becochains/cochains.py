@@ -8,7 +8,7 @@ distinction is semantic (pairing treats one argument as each).
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import and_, getitem, or_, xor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -20,6 +20,7 @@ __all__ = [
     "F2Cochain",
     "from_simplices",
     "coboundary",
+    "are_cocycles",
     "cup",
     "cup1",
     "pullback",
@@ -122,6 +123,31 @@ def coboundary(c: F2Cochain) -> F2Cochain:
     """(dc)(s) = sum of c over the faces of s, degenerate faces contributing zero."""
     masks = _coface_masks(c.cx, c.degree)
     return F2Cochain(c.cx, c.degree + 1, reduce(xor, compress(masks, _flags(c.support)), 0))
+
+
+def are_cocycles(cs: Sequence[F2Cochain]) -> List[bool]:
+    """Per cochain of one complex and degree, whether its coboundary is zero; bitsliced.
+
+    Word i holds simplex i of every cochain, bit j for cochain j, so one pass
+    over the faces of degree deg + 1 gives all the coboundaries, with no coface mask.
+    """
+    if not cs:
+        return []
+    for c in cs:
+        _check_same(c, cs[0])
+    cx, deg = cs[0].cx, cs[0].degree
+    n = len(cx.index(deg)) + 1  # a trailing zero word, read by the degenerate face -1
+    # Lane g holds cochains 8g..8g+7 as bits 0..7 of one byte per simplex.
+    lanes = [sum(int.from_bytes(_flags(c.support), "little") << j
+                 for j, c in enumerate(cs[g:g + 8])).to_bytes(n, "little")
+             for g in range(0, len(cs), 8)]
+    words = list(map(int.from_bytes, map(bytes, zip(*lanes)), repeat("little")))
+    first, *rest = cx.face_indices(deg + 1).columns
+    cofaces = map(words.__getitem__, first)
+    for column in rest:
+        cofaces = map(xor, cofaces, map(words.__getitem__, column))
+    failed = reduce(or_, cofaces, 0)  # bit j: the coboundary of cochain j is nonzero
+    return [not failed >> j & 1 for j in range(len(cs))]
 
 
 @lru_cache(maxsize=None)

@@ -10,10 +10,10 @@ independent two-label blocks.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from .algebras import Word, arnold_basis
-from .cochains import F2Cochain, coboundary, cup, from_simplices, omega, pair
+from .cochains import F2Cochain, are_cocycles, cup, from_simplices, omega, pair
 from .complexes import Simplex, get_complex, is_nondegenerate
 from .gf2 import BitMatrix
 from .perms import Perm, act, block_substitute
@@ -32,6 +32,7 @@ __all__ = [
     "omega_product",
     "pairing_matrix",
     "class_of_cocycle",
+    "classes_of_cocycles",
 ]
 
 Chain = FrozenSet[Simplex]
@@ -186,10 +187,16 @@ def _class_row(c: F2Cochain) -> int:
     return sum(pair(c, z) << r for r, z in enumerate(_dual_cycle_chains()))
 
 
+def classes_of_cocycles(cs: Sequence[F2Cochain]) -> List[int]:
+    """Classes of degree-2 cocycles as bit rows, all checked closed in one bitsliced pass."""
+    for c in cs:
+        if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
+            raise ValueError("expected a degree-2 cochain of the arity-4 complex")
+    if not all(are_cocycles(cs)):
+        raise ValueError("not a cocycle")
+    return [_class_row(c) for c in cs]
+
+
 def class_of_cocycle(c: F2Cochain) -> int:
     """Cohomology class of a degree-2 cocycle as a bit row over the admissible basis."""
-    if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
-        raise ValueError("expected a degree-2 cochain of the arity-4 complex")
-    if coboundary(c):
-        raise ValueError("not a cocycle")
-    return _class_row(c)
+    return classes_of_cocycles([c])[0]

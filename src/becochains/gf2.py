@@ -22,11 +22,11 @@ class BitMatrix:
             raise ValueError("negative dimensions")
         self.rows = rows
         self.cols = cols
-        # The rows are kept, not copied; r >> cols is nonzero for a negative row or a wide one.
+        # The rows are kept, not copied; min and max check every row in one C-level pass each.
         self.data = [0] * rows if data is None else list(data)
         if len(self.data) != rows:
             raise ValueError("row count mismatch")
-        if any(r >> cols for r in self.data):
+        if self.data and (min(self.data) < 0 or max(self.data) >> cols):
             raise ValueError(f"a row is not a bitset over {cols} columns")
 
     def transpose(self) -> "BitMatrix":

@@ -37,7 +37,7 @@ from .cochains import (
     pullback,
 )
 from .complexes import get_complex
-from .cycles import _class_row, class_of_cocycle, omega_product
+from .cycles import _class_row, classes_of_cocycles, omega_product
 from .gf2 import BitMatrix, _bits, rowspace_basis, solve
 
 __all__ = [
@@ -271,7 +271,7 @@ def gauge_shift(f: HomWH) -> HomWH:
     level1 = [reduce(F2Cochain.__add__, (omega(4, *basis[i][0]) for i in _bits(row)), phi1(u))
               for u, row in zip(w_basis(4, 1), f.rows)]
     cocycles = _phi_d_all(level1)
-    return HomWH(4, 2, 2, [class_of_cocycle(cocycles[w]) for w in w_basis(4, 2)])
+    return HomWH(4, 2, 2, classes_of_cocycles([cocycles[w] for w in w_basis(4, 2)]))
 
 
 def random_gauge(seed: int) -> HomWH:

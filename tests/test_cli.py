@@ -217,6 +217,44 @@ def test_obstruct_gauge_seed_checks(capsys):
     assert "verdict: NON-FORMAL CONFIRMED" in out
 
 
+# In a fresh interpreter every cache is cold, so a degree-2 coface mask table
+# asked for once is built there, and the profiler sees the build.
+CLOSEDNESS_CHILD = """
+import contextlib, io, json, sys
+from becochains import cochains
+from becochains.cli import main
+
+masks, coboundary = cochains._coface_masks.__wrapped__.__code__, cochains.coboundary.__code__
+asked, degrees = set(), set()
+
+def record(frame, event, arg):
+    if event == "call" and frame.f_code is masks:
+        cx = frame.f_locals["cx"]
+        asked.add((cx.k, cx.t, frame.f_locals["deg"]))
+    elif event == "call" and frame.f_code is coboundary:
+        degrees.add(frame.f_locals["c"].degree)
+
+sys.setprofile(record)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["obstruct", "--gauge-seed", "5"])
+sys.setprofile(None)
+print(json.dumps({"code": code, "masks": sorted(asked), "degrees": sorted(degrees)}))
+"""
+
+
+def test_obstruct_checks_its_cocycles_without_degree_two_coface_masks():
+    """The 180 closedness checks of obstruct go through the bitsliced test, not coboundary."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", CLOSEDNESS_CHILD], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen["code"] == 0
+    # The recorder works: the coboundary space of the classes leg reads the degree-1 masks.
+    assert [4, 2, 1] in seen["masks"]
+    assert [4, 2, 2] not in seen["masks"]
+    assert 2 not in seen["degrees"]
+
+
 def test_obstruct_gauge_seed_deterministic(capsys):
     _, out1, _ = run(capsys, "obstruct", "--gauge-seed", "9", "--format", "json")
     _, out2, _ = run(capsys, "obstruct", "--gauge-seed", "9", "--format", "json")

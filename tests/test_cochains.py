@@ -10,6 +10,7 @@ from becochains.cochains import (
     _back_image,
     _front_image,
     ar,
+    are_cocycles,
     coboundary,
     coboundary_matrix,
     cochain_text,
@@ -252,6 +253,43 @@ def test_mask_selection_at_the_edge_supports(k, t):
             assert _back_image(b, p) == sum(
                 (sb >> cx.index_of(s[p:]) & 1) << s_idx for s_idx, s in enumerate(target)
             ), (p, q, sb)
+
+
+def mixed_batch(rng, cx, deg, size):
+    """size cochains of degree deg, each a cocycle or a random cochain, picked at random.
+
+    The cocycles are coboundaries of random cochains, or in degree 0 the zero
+    cochain and the sum of all vertices, so the expected answers vary inside a byte lane.
+    """
+    n = len(cx.index(deg))
+    out = []
+    for _ in range(size):
+        if rng.random() < 0.5:
+            out.append(random_cochain(rng, cx, deg, rng.choice((0.01, 0.5))))
+        elif deg:
+            out.append(coboundary(random_cochain(rng, cx, deg - 1, rng.choice((0.01, 0.5)))))
+        else:
+            out.append(F2Cochain(cx, 0, rng.choice((0, (1 << n) - 1))))
+    return out
+
+
+# Batches of 1, 7, 8 and 9 cochains fill one byte lane or spill into a second; 90
+# is the count of obstruct's error cocycles. The top degree has no cofaces.
+@pytest.mark.parametrize("k, t", [(3, 2), (4, 2), (3, 3)])
+def test_are_cocycles_matches_coboundary_seeded(k, t):
+    rng = random.Random(2800 + 10 * k + t)
+    cx = get_complex(k, t)
+    for deg in range(cx.top_degree + 1):
+        for size in (1, 7, 8, 9, 90):
+            batch = mixed_batch(rng, cx, deg, size)
+            expected = [not coboundary(c) for c in batch]
+            assert are_cocycles(batch) == expected, (deg, size)
+            if deg < cx.top_degree and size == 90:
+                assert any(expected) and not all(expected), deg
+
+
+def test_are_cocycles_of_an_empty_batch_is_empty():
+    assert are_cocycles([]) == []
 
 
 def reference_pullback(target, tag, c):

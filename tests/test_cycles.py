@@ -4,11 +4,12 @@ import pytest
 
 from becochains import cycles
 from becochains.algebras import arnold_basis, parse_word
-from becochains.cochains import coboundary, cup, from_simplices, omega, pair
+from becochains.cochains import F2Cochain, coboundary, cup, from_simplices, omega, pair
 from becochains.complexes import get_complex, simplex_from_text
 from becochains.cycles import (
     circ,
     class_of_cocycle,
+    classes_of_cocycles,
     gamma,
     gamma_gamma,
     h2_cycle_table,
@@ -158,6 +159,23 @@ def test_class_of_a_non_cocycle_is_rejected():
         class_of_cocycle(c)
     with pytest.raises(ValueError, match="degree-2"):
         class_of_cocycle(omega(4, 1, 2))
+
+
+def test_classes_of_a_batch_past_one_byte_lane():
+    """Classes of products, their sums and a coboundary, in a batch past one byte lane."""
+    cx = get_complex(4, 2)
+    products = [omega_product(m) for m in arnold_basis(4, 2)]
+    batch = products + [products[0] + products[4], coboundary(F2Cochain(cx, 1, 0b1011))]
+    assert classes_of_cocycles(batch) == [1 << r for r in range(11)] + [0b10001, 0]
+    assert classes_of_cocycles([]) == []
+
+
+def test_one_non_cocycle_rejects_the_batch():
+    cx = get_complex(4, 2)
+    batch = [omega_product(m) for m in arnold_basis(4, 2)]
+    batch[9] = F2Cochain(cx, 2, 1)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        classes_of_cocycles(batch)
 
 
 def test_class_of_coboundary_is_zero():

@@ -18,6 +18,8 @@ from becochains.algebras import (
 )
 from becochains.cochains import (
     F2Cochain,
+    ar,
+    are_cocycles,
     cup,
     cup1,
     from_simplices,
@@ -25,7 +27,7 @@ from becochains.cochains import (
     parse_cochain,
 )
 from becochains.complexes import Complex, get_complex, simplex_from_text
-from becochains.cycles import omega_product
+from becochains.cycles import classes_of_cocycles, omega_product
 from becochains.gf2 import BitMatrix
 from becochains.obstruction import phi0, phi1
 from becochains.perms import act, all_perms, perm_from_text
@@ -70,6 +72,10 @@ ROWS = [
      "ambient complex mismatch"),
     ("cup1-degree-2", lambda: cup1(F2Cochain(cx3(), 2), F2Cochain(cx3(), 2)), ValueError,
      "degree-1 cochains only"),
+    ("are_cocycles-two-complexes", lambda: are_cocycles([omega(3, 1, 2), omega(4, 1, 2)]),
+     ValueError, "ambient complex mismatch"),
+    ("are_cocycles-two-degrees", lambda: are_cocycles([ar(), F2Cochain(cx3(), 2)]), ValueError,
+     "degree mismatch"),
     ("omega(4, 1, 1)", lambda: omega(4, 1, 1), ValueError, "labels must be distinct"),
     ("parse-zero-no-degree", lambda: parse_cochain(cx3(), "0"), ValueError,
      "needs an explicit degree"),
@@ -91,6 +97,11 @@ ROWS = [
      "kind must be 'A' or 'B'"),
     # cycles
     ("omega_product(())", lambda: omega_product(()), ValueError, "need at least one factor"),
+    ("classes-of-a-degree-1-cochain", lambda: classes_of_cocycles([omega(4, 1, 2)]), ValueError,
+     "expected a degree-2 cochain of the arity-4 complex"),
+    ("classes-of-a-non-cocycle",
+     lambda: classes_of_cocycles([F2Cochain(get_complex(4, 2), 2, 1)]), ValueError,
+     "not a cocycle"),
     # obstruction
     ("phi0-two-letters", lambda: phi0(((1, 2), (1, 3))), ValueError, "length-1 word"),
     ("phi1-three-letters", lambda: phi1(((1, 2), (1, 3), (2, 3))), ValueError,
