@@ -116,6 +116,8 @@ def yb_basis(k: int, length: int) -> Tuple[Word, ...]:
 
 def w_basis(k: int, level: int) -> Tuple[Word, ...]:
     """Dual generators at one resolution level are indexed by words of length level+1."""
+    if level < 0:
+        raise ValueError(f"W has generators at resolution level 0 or above, not {level}")
     return yb_basis(k, level + 1)
 
 
@@ -214,8 +216,6 @@ class HomWH:
     __slots__ = ("k", "level", "qdeg", "rows")
 
     def __init__(self, k: int, level: int, qdeg: int, rows: Sequence[int]):
-        if level < 0:
-            raise ValueError("a map starts at resolution level 0 or above")
         self.k = k
         self.level = level
         self.qdeg = qdeg

@@ -41,6 +41,8 @@ class F2Cochain:
     def __init__(self, cx: Complex, degree: int, support: int = 0):
         if not isinstance(support, int):
             raise TypeError("support must be an int bitset")
+        if not isinstance(degree, int):
+            raise TypeError("degree must be an int")
         if degree < 0:
             raise ValueError("degree must be non-negative")
         # Checked only when nonzero, so that a zero cochain builds no table.

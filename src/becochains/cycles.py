@@ -181,7 +181,7 @@ def _class_row(c: F2Cochain) -> int:
     """Bit r: the pairing of c with the cycle dual to quadratic basis monomial r.
 
     On a degree-2 cocycle this is its class: the pairing matrix M is the
-    identity, so the coefficient vector x with M^T x = (the pairings) is the
+    identity, so the coefficient vector x with x.M = (the pairings) is the
     pairings. Callers check that c is a cocycle.
     """
     return sum(pair(c, z) << r for r, z in enumerate(_dual_cycle_chains()))

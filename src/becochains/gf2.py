@@ -29,21 +29,6 @@ class BitMatrix:
         if self.data and (min(self.data) < 0 or max(self.data) >> cols):
             raise ValueError(f"a row is not a bitset over {cols} columns")
 
-    def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
-            for j in _bits(r):
-                out[j] |= 1 << i
-        return BitMatrix(self.cols, self.rows, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 
@@ -93,23 +78,25 @@ def rank(m: BitMatrix) -> int:
 
 
 def solve(m: BitMatrix, b: int) -> Optional[int]:
-    """Some x with m.x = b, or None when the system is inconsistent.
+    """Some x with x.m = b, or None when no sum of rows of m is b.
 
-    b has one bit per row of m; x has one bit per column, with every free
-    variable zero.
+    x has one bit per row of m and b one bit per column: b is the XOR of the
+    rows that x picks. The rows are reduced in the order given, so the
+    result is deterministic.
     """
-    if b < 0 or b >> m.rows:
-        raise ValueError("right-hand side has bits beyond the row count")
-    # Column j moves to bit j + 1 and the right-hand side to bit 0, below every pivot.
-    basis = _pivot_basis((r << 1 | (b >> i & 1) for i, r in enumerate(m.data)), m.cols + 1)
-    # Inconsistent iff some row reduces to the bare right-hand-side bit.
-    if basis[0]:
-        return None
-    x = 0
-    for pivot, row in enumerate(basis):
-        if row and ((row ^ (1 << pivot)) & x).bit_count() & 1 != row & 1:
-            x |= 1 << pivot
-    return x >> 1
+    if b < 0 or b >> m.cols:
+        raise ValueError("right-hand side has bits beyond the column count")
+    # Row i moves above m.rows tag bits and carries tag bit i, so a kept row
+    # records which input rows it sums.
+    n = m.rows
+    basis = _pivot_basis((r << n | 1 << i for i, r in enumerate(m.data)), m.cols + n)
+    v = b << n
+    while v >> n:
+        row = basis[v.bit_length() - 1]
+        if not row:
+            return None
+        v ^= row
+    return v
 
 
 def rowspace_basis(m: BitMatrix) -> List[int]:

@@ -166,25 +166,25 @@ def _packed(h: HomWH) -> int:
 
 @lru_cache(maxsize=None)
 def hochschild_matrix() -> BitMatrix:
-    """Matrix of the convolution differential Hom(W1,H1) -> Hom(W2,H2), 990x150.
+    """Matrix of the convolution differential Hom(W1,H1) -> Hom(W2,H2), 150x990.
 
-    Columns run over elementary maps (one level-1 word to one degree-1
-    class); rows over the packed target basis. Column f holds
+    Rows run over elementary maps (one level-1 word to one degree-1 class);
+    columns over the packed target basis. Row f holds
     d(f) = f * tau + tau * f, read off the coproduct splits.
     """
     nh1, nh2 = len(arnold_basis(4, 1)), len(arnold_basis(4, 2))
     products = _product_table(4, 1, 1)
     tau_col = {g: row.bit_length() - 1 for g, row in zip(w_basis(4, 0), tau(4).rows)}
     first = {u: i * nh1 for i, u in enumerate(w_basis(4, 1))}
-    cols = [0] * (len(first) * nh1)
+    images = [0] * (len(first) * nh1)
     for r, w in enumerate(w_basis(4, 2)):
         for u, v in coproduct_component(4, w, 2, 1):
             for mi in range(nh1):
-                cols[first[u] + mi] ^= products[mi][tau_col[v]] << r * nh2
+                images[first[u] + mi] ^= products[mi][tau_col[v]] << r * nh2
         for u, v in coproduct_component(4, w, 1, 2):
             for mi in range(nh1):
-                cols[first[v] + mi] ^= products[tau_col[u]][mi] << r * nh2
-    return BitMatrix(len(cols), len(w_basis(4, 2)) * nh2, cols).transpose()
+                images[first[v] + mi] ^= products[tau_col[u]][mi] << r * nh2
+    return BitMatrix(len(images), len(w_basis(4, 2)) * nh2, images)
 
 
 def is_coboundary(a: HomWH) -> Optional[HomWH]:

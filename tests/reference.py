@@ -51,6 +51,15 @@ def mat_vec(rows, x):
     return y
 
 
+def vec_mat(rows, x):
+    """Product of the int vector x with the GF(2) matrix with int rows: the XOR of the rows x picks."""
+    y = 0
+    for i, r in enumerate(rows):
+        if x >> i & 1:
+            y ^= r
+    return y
+
+
 def low_pivot_rank(vectors):
     """GF(2) rank by elimination on the lowest set bit, the opposite pivot rule to gf2's."""
     pivots = {}

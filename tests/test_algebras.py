@@ -316,13 +316,14 @@ def test_homwh_rejects_rows_outside_the_target_basis():
 
 
 def test_negative_lengths_are_value_errors():
-    # A level-L generator is a word of length L + 1, so level -2 asks for length -1.
-    for call in (lambda: arnold_basis(4, -1), lambda: yb_basis(4, -1),
-                 lambda: w_basis(4, -2)):
+    for call in (lambda: arnold_basis(4, -1), lambda: yb_basis(4, -1)):
         with pytest.raises(ValueError, match="length -1 is negative"):
             call()
-    with pytest.raises(ValueError, match="level 0 or above"):
-        HomWH(4, -2, 1, [])
+    # A level-L generator is a word of length L + 1, yet level -1 is no empty
+    # word: every level below 0 is refused before any length is formed.
+    for call in (lambda: w_basis(4, -1), lambda: w_basis(4, -2), lambda: HomWH(4, -2, 1, [])):
+        with pytest.raises(ValueError, match="level 0 or above"):
+            call()
 
 
 def test_arities_below_two_are_value_errors():

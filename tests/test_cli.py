@@ -392,10 +392,9 @@ def test_solvable_alpha_fails_the_solve_leg(capsys, monkeypatch):
     real = obstruction.hochschild_matrix()
 
     def hits_alpha():
-        # column 0 replaced by alpha itself, so alpha = d(elementary map 0)
-        cols = real.transpose().data
-        cols[0] = obstruction._packed(obstruction.alpha_hom())
-        return BitMatrix(len(cols), real.rows, cols).transpose()
+        # row 0 replaced by alpha itself, so alpha = d(elementary map 0)
+        rows = [obstruction._packed(obstruction.alpha_hom())] + real.data[1:]
+        return BitMatrix(real.rows, real.cols, rows)
 
     monkeypatch.setattr(obstruction, "hochschild_matrix", hits_alpha)
     code, out, err = run(capsys, "obstruct")

@@ -62,6 +62,7 @@ ROWS = [
     ("bitmatrix-negative", lambda: BitMatrix(-1, 2), ValueError, "negative dimensions"),
     ("bitmatrix-rows", lambda: BitMatrix(2, 2, [1]), ValueError, "row count mismatch"),
     # cochains
+    ("cochain-float-degree", lambda: F2Cochain(cx3(), 1.0, 0), TypeError, "degree must be an int"),
     ("sum-of-two-degrees", lambda: F2Cochain(cx3(), 0) + F2Cochain(cx3(), 1), ValueError,
      "degree mismatch"),
     ("from-no-simplices", lambda: from_simplices(cx3(), []), ValueError,

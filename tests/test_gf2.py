@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from becochains.gf2 import BitMatrix, _pivot_basis, rank, rowspace_basis, solve
-from reference import low_pivot_rank, mat_vec
+from reference import low_pivot_rank, mat_vec, vec_mat
 
 
 def brute_rank(rows, cols):
@@ -57,15 +57,15 @@ def test_rank_random_larger():
 
 
 def test_solve_exhaustive_small():
-    for m in all_matrices(2, 3):
+    for m in all_matrices(3, 2):
         for b in range(4):
             x = solve(m, b)
             if x is None:
-                # no x in the full cube satisfies the system
+                # no x in the full cube picks rows that sum to b
                 for cand in range(8):
-                    assert mat_vec(m.data, cand) != b
+                    assert vec_mat(m.data, cand) != b
             else:
-                assert mat_vec(m.data, x) == b
+                assert x >> m.rows == 0 and vec_mat(m.data, x) == b
 
 
 def test_solve_random_consistency():
@@ -73,11 +73,11 @@ def test_solve_random_consistency():
     for _ in range(100):
         rows, cols = rng.randint(1, 10), rng.randint(1, 10)
         m = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
-        xtrue = rng.getrandbits(cols)
-        b = mat_vec(m.data, xtrue)
+        xtrue = rng.getrandbits(rows)
+        b = vec_mat(m.data, xtrue)
         x = solve(m, b)
         assert x is not None
-        assert mat_vec(m.data, x) == b
+        assert vec_mat(m.data, x) == b
 
 
 def test_solve_rejects_oversized_right_hand_side():
@@ -116,29 +116,31 @@ def test_rank_random_shapes(shape):
 def test_solve_random_shapes(shape):
     rng = random.Random(102)
     for m in seeded_matrices(shape, 103):
-        b = mat_vec(m.data, rng.getrandbits(m.cols))
+        b = vec_mat(m.data, rng.getrandbits(m.rows))
         x = solve(m, b)
-        assert x is not None and mat_vec(m.data, x) == b
-        # Append the sum of two rows with the sum of their right-hand sides
-        # flipped: no x satisfies both the originals and the new row.
-        i, j = rng.randrange(m.rows), rng.randrange(m.rows)
-        bad = BitMatrix(m.rows + 1, m.cols, m.data + [m.data[i] ^ m.data[j]])
-        bad_b = b | ((1 ^ (b >> i & 1) ^ (b >> j & 1)) << m.rows)
+        assert x is not None and vec_mat(m.data, x) == b
+        # Append the sum of two columns and flip b's sum of those columns in
+        # the new one: no sum of rows matches b on all three columns.
+        i, j = rng.randrange(m.cols), rng.randrange(m.cols)
+        bad = BitMatrix(m.rows, m.cols + 1, [r | ((r >> i ^ r >> j) & 1) << m.cols for r in m.data])
+        bad_b = b | ((1 ^ (b >> i & 1) ^ (b >> j & 1)) << m.cols)
         assert solve(bad, bad_b) is None
-        if m.cols <= 8:
-            assert all(mat_vec(bad.data, cand) != bad_b for cand in range(1 << m.cols))
+        if m.rows <= 8:
+            assert all(vec_mat(bad.data, cand) != bad_b for cand in range(1 << m.rows))
 
 
 def test_solve_right_hand_side_edges():
-    # no columns: only b = 0 is reachable
-    assert solve(BitMatrix(1, 0, [0]), 1) is None
+    # no columns: b = 0 is the only right-hand side, the empty sum x = 0
     assert solve(BitMatrix(1, 0, [0]), 0) == 0
-    # no rows: the empty system, solved by x = 0
+    with pytest.raises(ValueError):
+        solve(BitMatrix(1, 0, [0]), 1)
+    # no rows: only the empty sum, so only b = 0 is reached
     assert solve(BitMatrix(0, 3, []), 0) == 0
+    assert solve(BitMatrix(0, 3, []), 0b100) is None
     # a single row holding only the top column
     for cols in range(1, 70):
         top = 1 << (cols - 1)
-        assert solve(BitMatrix(1, cols, [top]), 1) == top
+        assert solve(BitMatrix(1, cols, [top]), top) == 1
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -163,7 +165,7 @@ def test_rowspace_basis_random_shapes(shape):
 def test_results_are_deterministic(shape):
     for m in seeded_matrices(shape, 106, count=10):
         data = list(m.data)
-        b = mat_vec(m.data, (1 << m.cols) - 1)
+        b = vec_mat(m.data, (1 << m.rows) - 1)
         first = (rank(m), solve(m, b), rowspace_basis(m))
         again = BitMatrix(m.rows, m.cols, list(data))
         assert (rank(again), solve(again, b), rowspace_basis(again)) == first
@@ -181,14 +183,6 @@ def test_rows_are_kept_not_copied():
 def test_rows_outside_the_columns_raise(row):
     with pytest.raises(ValueError):
         BitMatrix(2, 8, [0b1, row])
-
-
-def test_transpose_roundtrip_and_entries():
-    m = BitMatrix(2, 3, [0b101, 0b110])
-    assert m.rows == 2 and m.cols == 3
-    assert m.transpose().transpose() == m
-    assert m.data[0] == 0b101
-    assert m.transpose().data[2] == 0b11
 
 
 def test_mul_vec_is_linear():
@@ -214,11 +208,13 @@ def test_pivot_basis_has_one_slot_per_column(shape):
 
 
 def test_no_columns():
-    """Width 0: no slots, rank 0, an empty row space, and only b = 0 solvable."""
+    """Width 0: no slots, rank 0, an empty row space, and b = 0 the only right-hand side."""
     assert _pivot_basis([], 0) == [] and _pivot_basis([0, 0], 0) == []
     m = BitMatrix(3, 0, [0, 0, 0])
     assert rank(m) == 0 and rowspace_basis(m) == []
-    assert solve(m, 0) == 0 and solve(m, 0b100) is None
+    assert solve(m, 0) == 0
+    with pytest.raises(ValueError):
+        solve(m, 0b1)
     empty = BitMatrix(0, 0, [])
     assert rank(empty) == 0 and rowspace_basis(empty) == [] and solve(empty, 0) == 0
 
@@ -231,17 +227,23 @@ def test_a_row_holding_only_the_last_column(cols):
     basis = _pivot_basis(m.data, m.cols)
     assert basis[-1] == top and basis.count(0) == cols - 1
     assert rank(m) == 1 and rowspace_basis(m) == [top]
-    assert solve(m, 0b10) == top and solve(m, 0b01) is None
+    assert solve(m, top) == 0b10 and solve(m, 0) == 0
+    # below the top column no row reaches
+    assert cols == 1 or solve(m, top >> 1) is None
 
 
-@pytest.mark.parametrize("rows, b", [([0b1, 0b1], 0b01), ([0], 0b1), ([0b11, 0b01, 0b10], 0b100)])
+@pytest.mark.parametrize("rows, b", [([0b10, 0b10], 0b01), ([0], 0b1), ([0b011, 0b110, 0b101], 0b100)])
 def test_inconsistent_solve_leaves_only_the_right_hand_side_bit(rows, b):
-    """Some row reduces to the bare right-hand-side bit, so slot 0 of the augmented basis is 1."""
-    m = BitMatrix(len(rows), 2, rows)
-    augmented = [r << 1 | (b >> i & 1) for i, r in enumerate(rows)]
-    assert _pivot_basis(augmented, m.cols + 1)[0] == 1
+    """Reducing b against the tagged rows leaves right-hand-side bits that no row pivots on."""
+    m = BitMatrix(len(rows), 3, rows)
+    n = m.rows
+    tagged = _pivot_basis([r << n | 1 << i for i, r in enumerate(rows)], m.cols + n)
+    v = b << n
+    while v >> n and tagged[v.bit_length() - 1]:
+        v ^= tagged[v.bit_length() - 1]
+    assert v >> n and not tagged[v.bit_length() - 1]
     assert solve(m, b) is None
-    assert all(mat_vec(rows, x) != b for x in range(4))
+    assert all(vec_mat(rows, x) != b for x in range(1 << n))
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES) + ["large"])

@@ -33,7 +33,7 @@ PRIMITIVES = frozenset({
     "algebras._product_table", "algebras.tau",
     # the constructors, and the gf2 kernel
     "algebras.HomWH.__init__", "gf2.BitMatrix.__init__",
-    "gf2.BitMatrix.transpose", "gf2._pivot_basis", "gf2._bits",
+    "gf2._pivot_basis", "gf2._bits",
     "obstruction._check_hom",
     # the row-major layout that the solve and the pairing both read alpha in
     "obstruction._packed",

@@ -218,33 +218,32 @@ def test_alpha_is_a_hochschild_cocycle():
 
 def test_hochschild_matrix_shape_and_consistency():
     m = hochschild_matrix()
-    assert (m.rows, m.cols) == (990, 150)
-    # columns are the convolution differentials of the elementary maps
+    assert (m.rows, m.cols) == (150, 990)
+    # rows are the convolution differentials of the elementary maps
     basis1 = arnold_basis(4, 1)
     gens = w_basis(4, 1)
     width2 = len(arnold_basis(4, 2))
-    columns = m.transpose().data
-    for col in (0, 37, 149):
-        wi, mi = divmod(col, len(basis1))
+    for f_index in (0, 37, 149):
+        wi, mi = divmod(f_index, len(basis1))
         f = HomWH(4, 1, 1, [1 << mi if u == gens[wi] else 0 for u in gens])
         # row-major packing: bit r * width2 + c is coefficient c of row r
         packed = sum(row << (r * width2) for r, row in enumerate(hochschild_d(f).rows))
-        assert columns[col] == packed
+        assert m.data[f_index] == packed
 
 
 def test_hochschild_matrix_matches_elementary_differentials():
-    """Every column against hochschild_d of its elementary map, packed row-major."""
+    """Every row against hochschild_d of its elementary map, packed row-major."""
     k = 4
     nw1, nh1 = len(w_basis(k, 1)), len(arnold_basis(k, 1))
     width2 = len(arnold_basis(k, 2))
-    cols = []
+    images = []
     for wi in range(nw1):
         for mi in range(nh1):
             f = HomWH(k, 1, 1, [(1 << mi) if r == wi else 0 for r in range(nw1)])
-            cols.append(sum(row << (r * width2) for r, row in enumerate(hochschild_d(f).rows)))
+            images.append(sum(row << (r * width2) for r, row in enumerate(hochschild_d(f).rows)))
     m = hochschild_matrix()
-    assert (m.rows, m.cols) == (len(w_basis(k, 2)) * width2, nw1 * nh1)
-    assert m.transpose().data == cols
+    assert (m.rows, m.cols) == (nw1 * nh1, len(w_basis(k, 2)) * width2)
+    assert m.data == images
 
 
 def test_phi_d_rejects_a_non_generator():
@@ -287,9 +286,10 @@ def test_gauge_assembly_matches_per_pair_cups(seed):
 
 
 def test_dual_d_transposes_hochschild_d():
+    """Bit j of dual_d(1 << r) is bit r of row j: the dual is the transpose, entry by entry."""
     m = hochschild_matrix()
-    for row in range(990):
-        assert dual_d(1 << row) == m.data[row], row
+    for r in range(m.cols):
+        assert dual_d(1 << r) == sum((row >> r & 1) << j for j, row in enumerate(m.data)), r
 
 
 def test_beta_composition():
