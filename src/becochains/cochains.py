@@ -34,9 +34,13 @@ __all__ = [
 
 
 class F2Cochain:
-    """Degree-homogeneous GF(2) cochain of one ambient complex; bit i = simplex i."""
+    """Degree-homogeneous GF(2) cochain of one ambient complex; bit i = simplex i.
 
-    __slots__ = ("cx", "degree", "support")
+    A cochain is never mutated after construction: its cup images are memoized
+    on it, keyed by side and the other factor's degree, and die with it.
+    """
+
+    __slots__ = ("cx", "degree", "support", "_images")
 
     def __init__(self, cx: Complex, degree: int, support: int = 0):
         if not isinstance(support, int):
@@ -51,6 +55,7 @@ class F2Cochain:
         self.cx = cx
         self.degree = degree
         self.support = support
+        self._images = {}
 
     def __add__(self, other: "F2Cochain") -> "F2Cochain":
         _check_same(self, other)
@@ -146,7 +151,11 @@ def are_cocycles(cs: Sequence[F2Cochain]) -> List[bool]:
     words = list(map(int.from_bytes, map(bytes, zip(*lanes)), repeat("little")))
     first, *rest = cx.face_indices(deg + 1).columns
     cofaces = map(words.__getitem__, first)
-    for column in rest:
+    for m, column in enumerate(rest, 1):
+        # A list every 16 columns: a chain of lazy maps as deep as the degree
+        # overflows the C stack above the top, where a table still has deg + 2 columns.
+        if m % 16 == 0:
+            cofaces = list(cofaces)
         cofaces = map(xor, cofaces, map(words.__getitem__, column))
     failed = reduce(or_, cofaces, 0)  # bit j: the coboundary of cochain j is nonzero
     return [not failed >> j & 1 for j in range(len(cs))]
@@ -162,12 +171,20 @@ def _cup_masks(cx: Complex, p: int, q: int) -> Tuple[List[int], List[int]]:
 
 def _front_image(a: F2Cochain, q: int) -> int:
     """Degree p+q simplices whose front p-face lies in the support of the p-cochain a."""
-    return reduce(or_, compress(_cup_masks(a.cx, a.degree, q)[0], _flags(a.support)), 0)
+    key = ("front", q)
+    if key not in a._images:
+        masks = _cup_masks(a.cx, a.degree, q)[0]
+        a._images[key] = reduce(or_, compress(masks, _flags(a.support)), 0)
+    return a._images[key]
 
 
 def _back_image(b: F2Cochain, p: int) -> int:
     """Degree p+q simplices whose back q-face lies in the support of the q-cochain b."""
-    return reduce(or_, compress(_cup_masks(b.cx, p, b.degree)[1], _flags(b.support)), 0)
+    key = ("back", p)
+    if key not in b._images:
+        masks = _cup_masks(b.cx, p, b.degree)[1]
+        b._images[key] = reduce(or_, compress(masks, _flags(b.support)), 0)
+    return b._images[key]
 
 
 def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:

@@ -200,10 +200,10 @@ class Complex:
         """For each degree-deg simplex, its face index per position (-1 if degenerate)."""
         if deg < 1:
             raise ValueError("faces need a degree of at least 1")
+        if deg > self.top_degree:  # no simplices: one empty column, shared and not cached
+            return FaceTable((array(_typecode(-1, signed=True)),) * (deg + 1))
         if deg not in self._face_tables:
-            columns = (self._face_columns(deg) if deg <= self.top_degree
-                       else tuple(array(_typecode(-1, signed=True)) for _ in range(deg + 1)))
-            self._face_tables[deg] = FaceTable(columns)
+            self._face_tables[deg] = FaceTable(self._face_columns(deg))
         return self._face_tables[deg]
 
     def _face_columns(self, deg: int) -> Tuple[array, ...]:

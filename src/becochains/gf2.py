@@ -77,6 +77,26 @@ def rank(m: BitMatrix) -> int:
     return m.cols - _pivot_basis(m.data, m.cols).count(0)
 
 
+def _tagged_basis(m: BitMatrix) -> List[int]:
+    """Pivot basis of the rows of m, row i moved above m.rows tag bits and carrying tag bit i.
+
+    A kept row records which input rows it sums; solve reduces b against it.
+    """
+    n = m.rows
+    return _pivot_basis((r << n | 1 << i for i, r in enumerate(m.data)), m.cols + n)
+
+
+def _combination(basis: List[int], n: int, b: int) -> Optional[int]:
+    """solve's x from the tagged basis of an n-row matrix; b is not checked."""
+    v = b << n
+    while v >> n:
+        row = basis[v.bit_length() - 1]
+        if not row:
+            return None
+        v ^= row
+    return v
+
+
 def solve(m: BitMatrix, b: int) -> Optional[int]:
     """Some x with x.m = b, or None when no sum of rows of m is b.
 
@@ -86,17 +106,7 @@ def solve(m: BitMatrix, b: int) -> Optional[int]:
     """
     if b < 0 or b >> m.cols:
         raise ValueError("right-hand side has bits beyond the column count")
-    # Row i moves above m.rows tag bits and carries tag bit i, so a kept row
-    # records which input rows it sums.
-    n = m.rows
-    basis = _pivot_basis((r << n | 1 << i for i, r in enumerate(m.data)), m.cols + n)
-    v = b << n
-    while v >> n:
-        row = basis[v.bit_length() - 1]
-        if not row:
-            return None
-        v ^= row
-    return v
+    return _combination(_tagged_basis(m), m.rows, b)
 
 
 def rowspace_basis(m: BitMatrix) -> List[int]:

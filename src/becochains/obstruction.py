@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from random import Random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import (
     HomWH,
@@ -38,7 +38,7 @@ from .cochains import (
 )
 from .complexes import get_complex
 from .cycles import _class_row, classes_of_cocycles, omega_product
-from .gf2 import BitMatrix, _bits, rowspace_basis, solve
+from .gf2 import BitMatrix, _bits, _combination, _tagged_basis, rowspace_basis
 
 __all__ = [
     "ANCHOR_WORDS",
@@ -187,11 +187,21 @@ def hochschild_matrix() -> BitMatrix:
     return BitMatrix(len(images), len(w_basis(4, 2)) * nh2, images)
 
 
+@lru_cache(maxsize=1)
+def _solve_basis(m: BitMatrix) -> List[int]:
+    """The tagged basis of m = hochschild_matrix(), kept for the next solve; another m replaces it."""
+    return _tagged_basis(m)
+
+
 def is_coboundary(a: HomWH) -> Optional[HomWH]:
-    """Witness f with hochschild_d(f) = a, or None when no witness exists."""
+    """Witness f with hochschild_d(f) = a, or None when no witness exists.
+
+    The same x as gf2.solve(hochschild_matrix(), _packed(a)), from a cached basis.
+    """
     _check_hom(a, 2, 2)
     # d(d f) = 0, so a map that is not closed has no witness and the solve says so.
-    x = solve(hochschild_matrix(), _packed(a))
+    m = hochschild_matrix()
+    x = _combination(_solve_basis(m), m.rows, _packed(a))
     if x is None:
         return None
     width = len(arnold_basis(4, 1))

@@ -1,13 +1,18 @@
 """Normalized cochains: coboundary, cup and cup-1 products, pullbacks, pairing."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from becochains.cochains import (
     F2Cochain,
     _back_image,
+    _cup_masks,
     _front_image,
     ar,
     are_cocycles,
@@ -290,6 +295,49 @@ def test_are_cocycles_matches_coboundary_seeded(k, t):
 
 def test_are_cocycles_of_an_empty_batch_is_empty():
     assert are_cocycles([]) == []
+
+
+def test_are_cocycles_far_above_the_top_degree():
+    """Degree 10**5 of (3, 2) has 10**5 + 2 empty face columns above it: no C stack overflow."""
+    code = ("from becochains.cochains import F2Cochain, are_cocycles\n"
+            "from becochains.complexes import get_complex\n"
+            "print(are_cocycles([F2Cochain(get_complex(3, 2), 10 ** 5)]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[True]\n"), proc.stderr
+
+
+def test_cup_images_are_memoized_per_side_and_partner_degree_seeded():
+    """One cochain as the front factor against degrees 0, 1 and 2 and as the back factor, interleaved."""
+    rng = random.Random(3001)
+    cx = get_complex(4, 2)
+    a = random_cochain(rng, cx, 1, 0.3)
+    partners = [random_cochain(rng, cx, d, 0.3) for d in (1, 2, 0, 1, 2)]
+    for b in partners * 2:
+        assert cup(a, b).support == reference_cup(a, b), b.degree
+        assert cup(b, a).support == reference_cup(b, a), b.degree
+    assert sorted(a._images) == [(side, d) for side in ("back", "front") for d in (0, 1, 2)]
+
+
+def test_a_repeated_cup_asks_no_mask_table():
+    """The second cup reads both images off its factors, before _cup_masks is asked."""
+    rng = random.Random(3002)
+    cx = get_complex(4, 2)
+    a, b = random_cochain(rng, cx, 1, 0.3), random_cochain(rng, cx, 1, 0.3)
+    first = cup(a, b)
+    before = _cup_masks.cache_info()
+    assert cup(a, b) == first
+    after = _cup_masks.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+
+
+def test_memoized_images_leave_equality_and_hash_alone():
+    a, b = omega(4, 1, 2), omega(4, 2, 3)
+    cup(a, b), cup(b, a)
+    fresh = F2Cochain(a.cx, a.degree, a.support)
+    assert a._images and not fresh._images
+    assert a == fresh and hash(a) == hash(fresh) and {fresh: 1}[a] == 1
 
 
 def reference_pullback(target, tag, c):

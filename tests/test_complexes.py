@@ -429,6 +429,22 @@ def test_degrees_above_the_top_are_empty_arrays_of_any_width():
     assert cx.index(64) is cx.index(64)
 
 
+def test_face_table_above_the_top_is_one_shared_empty_column_and_not_cached():
+    """Above the top a degree-d table still has d + 1 columns, all of them one empty array."""
+    cx = get_complex(3, 2)
+    cached = len(cx._face_tables)
+    tracemalloc.start()
+    try:
+        table = cx.face_indices(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 0 and len(table.columns) == 10 ** 6 + 1
+    assert all(col is table.columns[0] for col in table.columns)
+    assert len(cx._face_tables) == cached
+    assert peak < 16 << 20, peak
+
+
 def test_simplicial_identities():
     # d_m d_l = d_{l} d_{m+1} for l <= m, on nondegenerate parts
     for s in get_complex(3, 2).simplices(3)[:12]:
