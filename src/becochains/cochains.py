@@ -37,7 +37,7 @@ class F2Cochain:
     """Degree-homogeneous GF(2) cochain of one ambient complex; bit i = simplex i.
 
     A cochain is never mutated after construction: its cup images are memoized
-    on it, keyed by side and the other factor's degree, and die with it.
+    on it, keyed by both factors' degrees and the side, and die with it.
     """
 
     __slots__ = ("cx", "degree", "support", "_images")
@@ -128,6 +128,8 @@ def _coface_masks(cx: Complex, deg: int) -> List[int]:
 
 def coboundary(c: F2Cochain) -> F2Cochain:
     """(dc)(s) = sum of c over the faces of s, degenerate faces contributing zero."""
+    if not c.support:  # a zero cochain reads no table, above the top degree too
+        return F2Cochain(c.cx, c.degree + 1)
     masks = _coface_masks(c.cx, c.degree)
     return F2Cochain(c.cx, c.degree + 1, reduce(xor, compress(masks, _flags(c.support)), 0))
 
@@ -138,10 +140,10 @@ def are_cocycles(cs: Sequence[F2Cochain]) -> List[bool]:
     Word i holds simplex i of every cochain, bit j for cochain j, so one pass
     over the faces of degree deg + 1 gives all the coboundaries, with no coface mask.
     """
-    if not cs:
-        return []
     for c in cs:
         _check_same(c, cs[0])
+    if not any(cs):  # the empty batch too; no batch above the top degree passes here
+        return [True] * len(cs)
     cx, deg = cs[0].cx, cs[0].degree
     n = len(cx.index(deg)) + 1  # a trailing zero word, read by the degenerate face -1
     # Lane g holds cochains 8g..8g+7 as bits 0..7 of one byte per simplex.
@@ -151,11 +153,7 @@ def are_cocycles(cs: Sequence[F2Cochain]) -> List[bool]:
     words = list(map(int.from_bytes, map(bytes, zip(*lanes)), repeat("little")))
     first, *rest = cx.face_indices(deg + 1).columns
     cofaces = map(words.__getitem__, first)
-    for m, column in enumerate(rest, 1):
-        # A list every 16 columns: a chain of lazy maps as deep as the degree
-        # overflows the C stack above the top, where a table still has deg + 2 columns.
-        if m % 16 == 0:
-            cofaces = list(cofaces)
+    for column in rest:  # at most top + 2 columns: a chain of lazy maps that shallow is safe
         cofaces = map(xor, cofaces, map(words.__getitem__, column))
     failed = reduce(or_, cofaces, 0)  # bit j: the coboundary of cochain j is nonzero
     return [not failed >> j & 1 for j in range(len(cs))]
@@ -169,22 +167,12 @@ def _cup_masks(cx: Complex, p: int, q: int) -> Tuple[List[int], List[int]]:
     return _masks([fronts], len(cx.index(p))), _masks([backs], len(cx.index(q)))
 
 
-def _front_image(a: F2Cochain, q: int) -> int:
-    """Degree p+q simplices whose front p-face lies in the support of the p-cochain a."""
-    key = ("front", q)
-    if key not in a._images:
-        masks = _cup_masks(a.cx, a.degree, q)[0]
-        a._images[key] = reduce(or_, compress(masks, _flags(a.support)), 0)
-    return a._images[key]
-
-
-def _back_image(b: F2Cochain, p: int) -> int:
-    """Degree p+q simplices whose back q-face lies in the support of the q-cochain b."""
-    key = ("back", p)
-    if key not in b._images:
-        masks = _cup_masks(b.cx, p, b.degree)[1]
-        b._images[key] = reduce(or_, compress(masks, _flags(b.support)), 0)
-    return b._images[key]
+def _image(c: F2Cochain, p: int, q: int, side: int) -> int:
+    """Degree p+q simplices whose front p-face (side 0) or back q-face (side 1) lies in c."""
+    key = (p, q, side)
+    if key not in c._images:
+        c._images[key] = reduce(or_, compress(_cup_masks(c.cx, p, q)[side], _flags(c.support)), 0)
+    return c._images[key]
 
 
 def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:
@@ -192,7 +180,7 @@ def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:
     if a.cx is not b.cx:
         raise ValueError("ambient complex mismatch")
     p, q = a.degree, b.degree
-    return F2Cochain(a.cx, p + q, _front_image(a, q) & _back_image(b, p))
+    return F2Cochain(a.cx, p + q, _image(a, p, q, 0) & _image(b, p, q, 1))
 
 
 def cup1(a: F2Cochain, b: F2Cochain) -> F2Cochain:

@@ -37,6 +37,7 @@ _Step = Tuple[bytes, Sequence[int]]
 SUPPORTED_T = (2, 3)
 MAX_ENUM_ARITY = 6
 _CHUNK = 1 << 14  # entries per chunk of a pass over a table: small beside the table
+_NO_CODES = array("Q")  # every degree above the top: empty, shared and never cached
 
 
 def is_nondegenerate(s: Simplex) -> bool:
@@ -140,12 +141,12 @@ class Complex:
     def index(self, deg: int) -> array:
         """The sorted codes of one degree, enumerating on first use.
 
-        Degrees above the top are empty 'Q' arrays, at any width: those cochain groups vanish.
+        Degrees above the top share one empty 'Q' array, at any width: those cochain groups vanish.
         """
         if deg < 0:
             raise ValueError("degree must be non-negative")
         if deg > self.top_degree:
-            return self._tables.setdefault(deg, array("Q"))
+            return _NO_CODES
         if deg > self._built_to:
             self._build(deg)
         return self._tables[deg]

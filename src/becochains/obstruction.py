@@ -28,9 +28,8 @@ from .algebras import (
 )
 from .cochains import (
     F2Cochain,
-    _back_image,
     _coface_masks,
-    _front_image,
+    _image,
     ar,
     cup1,
     omega,
@@ -124,7 +123,7 @@ def _phi_d_all(level1: Sequence[F2Cochain]) -> Dict[Word, F2Cochain]:
     """
     front, back = {}, {}
     for u, c in [*zip(w_basis(4, 1), level1), *((g, phi0(g)) for g in w_basis(4, 0))]:
-        front[u], back[u] = _front_image(c, 1), _back_image(c, 1)
+        front[u], back[u] = _image(c, 1, 1, 0), _image(c, 1, 1, 1)
     cx = get_complex(4, 2)
     out = {}
     for w in w_basis(4, 2):

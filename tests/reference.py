@@ -246,6 +246,42 @@ def apply(h, w):
     return frozenset(m for c, m in enumerate(monomials) if row >> c & 1)
 
 
+def alpha_rows(cycles, gauge=None):
+    """The 90 rows of alpha, or of gauge_shift(gauge), evaluated pointwise on raw simplices.
+
+    phi_d(w) sums the Alexander-Whitney cups phi(u) . phi(v) over the coproduct
+    splits (u, v) of w, cut at the slices s[:2] and s[1:] of a 2-simplex s, where
+    phi is omega on a length-1 word and phi1, plus omega over gauge(u), on a
+    length-2 word. Bit r of row w is phi_d(w) summed over the simplices of
+    cycles[r]. Rows follow the admissible words of length 3.
+    """
+    def omega(e, i, j):  # labels i, j in order on the first level, swapped on the second
+        return int(project(e[0], (i, j)) == (1, 2) and project(e[1], (i, j)) == (2, 1))
+
+    @lru_cache(maxsize=None)
+    def phi(u, e):
+        if len(u) == 1:
+            return omega(e, *u[0])
+        (i, j), (l, m) = u
+        if (i, j) == (l, m):
+            value = 0
+        elif j < m:  # cup-1 of two degree-1 cochains: their product
+            value = omega(e, i, j) & omega(e, l, m)
+        else:  # the pullback of 132|312 along the pattern of l, i, m, then the cup-1 correction
+            tag = (min(i, l), max(i, l), m)
+            value = int(tuple(project(p, tag) for p in e) == ((1, 3, 2), (3, 1, 2)))
+            value ^= int(i < l) & omega(e, i, m) & omega(e, l, m)
+        return value ^ sum(omega(e, *g[0]) for g in (apply(gauge, u) if gauge else ())) & 1
+
+    splits = (yb_splits(4, 2, 1), yb_splits(4, 1, 2))
+    rows = []
+    for w in admissible_words(4, 3, is_admissible_yb):
+        pairs = [uv for split in splits for uv in split.get(w, ())]
+        rows.append(sum((sum(phi(u, s[:2]) & phi(v, s[1:]) for u, v in pairs for s in cycle) & 1) << r
+                        for r, cycle in enumerate(cycles)))
+    return tuple(rows)
+
+
 def is_two_block_cycle(chain):
     """Two fixed pairs of labels, one per position block, one block swapping per step."""
     sims = list(chain)

@@ -11,9 +11,9 @@ import pytest
 
 from becochains.cochains import (
     F2Cochain,
-    _back_image,
+    _coface_masks,
     _cup_masks,
-    _front_image,
+    _image,
     ar,
     are_cocycles,
     coboundary,
@@ -213,7 +213,7 @@ def test_coboundary_and_cup_match_pointwise_references_seeded(k, t):
             assert cup(a, b).support == reference_cup(a, b), (p, q, density)
 
 
-def test_front_and_back_images_match_pointwise_references_seeded():
+def test_cup_images_of_both_factors_match_pointwise_references_seeded():
     """Bit s of an image is the cochain's value on the front or back face of simplex s."""
     rng = random.Random(642)
     cx = get_complex(4, 2)
@@ -221,7 +221,7 @@ def test_front_and_back_images_match_pointwise_references_seeded():
         target = cx.simplices(p + q)
         for density in (0.1, 0.6):
             a, b = random_cochain(rng, cx, p, density), random_cochain(rng, cx, q, density)
-            front, back = _front_image(a, q), _back_image(b, p)
+            front, back = _image(a, p, q, 0), _image(b, p, q, 1)
             assert front >> len(target) == 0 and back >> len(target) == 0
             for s_idx, s in enumerate(target):
                 assert front >> s_idx & 1 == a.support >> cx.index_of(s[:p + 1]) & 1
@@ -246,7 +246,7 @@ def test_mask_selection_at_the_edge_supports(k, t):
         target = cx.simplices(p + q)
         for sa in edge_supports(cx, p):
             a = F2Cochain(cx, p, sa)
-            front = _front_image(a, q)
+            front = _image(a, p, q, 0)
             assert front == sum(
                 (sa >> cx.index_of(s[:p + 1]) & 1) << s_idx for s_idx, s in enumerate(target)
             ), (p, q, sa)
@@ -255,7 +255,7 @@ def test_mask_selection_at_the_edge_supports(k, t):
                 assert cup(a, b).support == reference_cup(a, b), (p, q, sa, sb)
         for sb in edge_supports(cx, q):
             b = F2Cochain(cx, q, sb)
-            assert _back_image(b, p) == sum(
+            assert _image(b, p, q, 1) == sum(
                 (sb >> cx.index_of(s[p:]) & 1) << s_idx for s_idx, s in enumerate(target)
             ), (p, q, sb)
 
@@ -298,14 +298,30 @@ def test_are_cocycles_of_an_empty_batch_is_empty():
 
 
 def test_are_cocycles_far_above_the_top_degree():
-    """Degree 10**5 of (3, 2) has 10**5 + 2 empty face columns above it: no C stack overflow."""
-    code = ("from becochains.cochains import F2Cochain, are_cocycles\n"
-            "from becochains.complexes import get_complex\n"
-            "print(are_cocycles([F2Cochain(get_complex(3, 2), 10 ** 5)]))")
+    """Degree 10**5 of (3, 2) has 10**5 + 2 empty face columns above it: no C stack overflow.
+
+    A child process, so that an overflow fails this test alone; the batch caches nothing.
+    """
+    code = ("from becochains.cochains import F2Cochain, _coface_masks, are_cocycles\n"
+            "from becochains.complexes import Complex\n"
+            "cx = Complex(3, 2)\n"
+            "tables, masks = dict(cx._tables), _coface_masks.cache_info().currsize\n"
+            "print(are_cocycles([F2Cochain(cx, 10 ** 5)] * 9))\n"
+            "print(cx._tables == tables and _coface_masks.cache_info().currsize == masks)")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "[True]\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, f"{[True] * 9}\nTrue\n"), proc.stderr
+
+
+def test_zero_cochains_above_the_top_degree_cache_nothing():
+    """Their coboundaries read no table: no code array and no coface masks."""
+    cx = Complex(3, 2)
+    tables, masks = dict(cx._tables), _coface_masks.cache_info().currsize
+    for deg in range(cx.top_degree + 1, cx.top_degree + 2001):
+        assert coboundary(F2Cochain(cx, deg)) == F2Cochain(cx, deg + 1)
+    assert cx._tables == tables and _coface_masks.cache_info().currsize == masks
+    assert cx.index(10 ** 5) is cx.index(cx.top_degree + 1)
 
 
 def test_cup_images_are_memoized_per_side_and_partner_degree_seeded():
@@ -317,7 +333,7 @@ def test_cup_images_are_memoized_per_side_and_partner_degree_seeded():
     for b in partners * 2:
         assert cup(a, b).support == reference_cup(a, b), b.degree
         assert cup(b, a).support == reference_cup(b, a), b.degree
-    assert sorted(a._images) == [(side, d) for side in ("back", "front") for d in (0, 1, 2)]
+    assert sorted(a._images) == sorted([(1, d, 0) for d in (0, 1, 2)] + [(d, 1, 1) for d in (0, 1, 2)])
 
 
 def test_a_repeated_cup_asks_no_mask_table():

@@ -43,7 +43,7 @@ from becochains.obstruction import (
     triangle,
     validates_class,
 )
-from reference import admissible_words, apply, is_admissible_arnold, is_admissible_yb
+from reference import admissible_words, alpha_rows, apply, is_admissible_arnold, is_admissible_yb
 
 
 def words(text):
@@ -285,6 +285,26 @@ def test_gauge_assembly_matches_per_pair_cups(seed):
     refs = {w: reference_phi_d(level1, w) for w in w_basis(4, 2)}
     assert assembled == refs
     assert gauge_shift(f) == HomWH(4, 2, 2, [class_of_cocycle(refs[w]) for w in w_basis(4, 2)])
+
+
+def _raw_cycles():
+    return [chain for _, chain in h2_cycle_table()]
+
+
+def test_alpha_rows_match_a_pointwise_oracle():
+    """All 90 rows, not only the six anchors, from cochain values the package did not compute."""
+    rows = alpha_rows(_raw_cycles())
+    assert rows == alpha_hom().rows
+    assert sum(map(bool, rows)) == 32
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_gauge_shift_rows_match_a_pointwise_oracle(seed):
+    """phi1 perturbed by reference.apply(f, u) in the oracle; the shift moves some row."""
+    f = random_gauge(seed)
+    rows = alpha_rows(_raw_cycles(), f)
+    assert rows == gauge_shift(f).rows
+    assert rows != alpha_hom().rows
 
 
 def test_dual_d_transposes_hochschild_d():
