@@ -180,6 +180,8 @@ def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:
     if a.cx is not b.cx:
         raise ValueError("ambient complex mismatch")
     p, q = a.degree, b.degree
+    if not (a.support and b.support):  # a zero factor reads no mask table
+        return F2Cochain(a.cx, p + q)
     return F2Cochain(a.cx, p + q, _image(a, p, q, 0) & _image(b, p, q, 1))
 
 
@@ -215,6 +217,8 @@ def pullback(target: Complex, tag: Sequence[int], c: F2Cochain) -> F2Cochain:
         raise ValueError("complexity mismatch")
     # Projecting every target level once also checks the labels against the target arity.
     images = [project(p, tag) for p in target.perms]
+    if not c.support:  # after every check; a zero cochain reads no mask table
+        return F2Cochain(target, c.degree)
     # pulled[m][q]: the target simplices whose level m projects to q.
     pulled = []
     for row in _level_masks(target, c.degree):

@@ -231,12 +231,38 @@ def test_criterion_9_scope_documented():
 
 
 def test_readme_counts_the_public_names():
-    """README's count of becochains.__all__ is the package's own, so the doc cannot drift."""
+    """README's count is that of the library modules' __all__ lists, each name in one list only."""
     import re
     from pathlib import Path
 
     import becochains
 
+    names = [n for m in becochains.__all__[1:] for n in getattr(becochains, m).__all__]
+    assert len(set(names)) == len(names)
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    counts = re.findall(r"`becochains\.__all__` names\s+(\d+) entry points", text)
-    assert counts == [str(len(becochains.__all__))]
+    counts = re.findall(r"the submodules' `__all__` lists name\s+(\d+) entry points", text)
+    assert counts == [str(len(names))]
+
+
+def test_the_package_namespace_holds_the_library_modules_only():
+    """A fresh import loads the seven library modules, not the command line, and binds no function.
+
+    A child process, so that the modules the test run has already imported do not count.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import becochains
+
+    code = ("import sys, becochains\n"
+            "print(sorted(k for k in sys.modules if k.startswith('becochains.')))\n"
+            "print([n for n in dir(becochains) if callable(getattr(becochains, n))])")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    modules = ["algebras", "cochains", "complexes", "cycles", "gf2", "obstruction", "perms"]
+    expected = f"{['becochains.' + m for m in modules]}\n[]\n"
+    assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+    assert becochains.__all__ == ["__version__"] + modules

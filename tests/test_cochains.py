@@ -14,6 +14,7 @@ from becochains.cochains import (
     _coface_masks,
     _cup_masks,
     _image,
+    _level_masks,
     ar,
     are_cocycles,
     coboundary,
@@ -315,12 +316,23 @@ def test_are_cocycles_far_above_the_top_degree():
 
 
 def test_zero_cochains_above_the_top_degree_cache_nothing():
-    """Their coboundaries read no table: no code array and no coface masks."""
-    cx = Complex(3, 2)
+    """Their coboundaries, cups (as either factor) and pullbacks read no table.
+
+    No code array, no coface masks, no cup masks and no level masks.
+    """
+    cx, src = Complex(3, 2), Complex(2, 2)
+    a = parse_cochain(cx, "132|312")
     tables, masks = dict(cx._tables), _coface_masks.cache_info().currsize
+    cups, levels = _cup_masks.cache_info().currsize, _level_masks.cache_info().currsize
     for deg in range(cx.top_degree + 1, cx.top_degree + 2001):
-        assert coboundary(F2Cochain(cx, deg)) == F2Cochain(cx, deg + 1)
+        zero = F2Cochain(cx, deg)
+        assert coboundary(zero) == F2Cochain(cx, deg + 1)
+        assert cup(a, zero) == cup(zero, a) == F2Cochain(cx, deg + 1)
+    for deg in range(cx.top_degree + 1, cx.top_degree + 1001):
+        assert pullback(cx, (1, 2), F2Cochain(src, deg)) == F2Cochain(cx, deg)
     assert cx._tables == tables and _coface_masks.cache_info().currsize == masks
+    assert _cup_masks.cache_info().currsize == cups
+    assert _level_masks.cache_info().currsize == levels
     assert cx.index(10 ** 5) is cx.index(cx.top_degree + 1)
 
 
@@ -402,6 +414,11 @@ def test_pullback_rejects_bad_tags_and_sources():
         pullback(cx4, (1, 2, 3), c2)
     with pytest.raises(ValueError, match="complexity"):
         pullback(get_complex(4, 3), (1, 2, 3), c3)
+    # A zero source is checked as fully as any other.
+    with pytest.raises(ValueError, match="arity 3"):
+        pullback(cx4, (1, 2, 3), empty)
+    with pytest.raises(ValueError, match="complexity"):
+        pullback(get_complex(4, 3), (1, 2), empty)
     assert not pullback(cx4, (1, 2), empty)
 
 
