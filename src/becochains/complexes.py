@@ -114,22 +114,19 @@ class Complex:
 
     def __init__(self, k: int, t: int):
         self._walker = _Walker(k, t)
-        self.k = k
-        self.t = t
+        self.k, self.t = k, t
         self.perms = self._walker.perms
         self.bits = self._walker.bits
         self.top_degree = self._walker.top_degree
         self._perm_index = {p: i for i, p in enumerate(self.perms)}
         self._tables: Dict[int, array] = {0: self._table(0, range(len(self.perms)))}
         self._built_to = 0
-        # The steps that built the highest table: one per parent, not a key per simplex.
-        self._frontier: List[_Step] = [(b"", range(len(self.perms)))]
         # Per degree d >= 1: how many children in table d each simplex of table d-1
         # has, and the last level of each simplex of table d.
         self._children: Dict[int, array] = {}
         self._lasts: Dict[int, array] = {}
         self._face_tables: Dict[int, FaceTable] = {}
-        # Many strings share a key, across every build of this complex.
+        # Many strings share a key; _build frees the memo once a table passes one chunk.
         self._step = lru_cache(maxsize=None)(self._walker.step)
 
     def _table(self, deg: int, codes: Iterable[int] = ()) -> array:
@@ -177,15 +174,17 @@ class Complex:
         raise ValueError(f"simplex not in the table: {simplex_text(s)}")
 
     def _build(self, up_to: int):
-        """Extend the highest built degree one level at a time.
+        """Extend the highest built degree one level at a time, walking from degree 0.
 
-        Extending a sorted table by increasing last level gives the next
-        sorted table, since all its codes have the same length.
+        A sorted table extended by increasing last level gives the next: its codes have one length.
         """
         self._table(up_to)  # codes past 64 bits raise here, before any degree is built
-        levels = self._walker.levels
-        for deg in range(self._built_to + 1, up_to + 1):
-            steps = list(map(self._step, chain.from_iterable(map(itemgetter(1), self._frontier))))
+        levels, steps = self._walker.levels, [(b"", range(len(self.perms)))]
+        for deg in range(1, up_to + 1):
+            steps = map(self._step, chain.from_iterable(map(itemgetter(1), steps)))
+            if deg <= self._built_to:  # built: walked lazily, for the keys of the degree above
+                continue
+            steps = list(steps)
             children = self._children[deg] = array(levels, map(len, map(itemgetter(1), steps)))
             lasts = self._lasts[deg] = array(levels)
             nexts = map(itemgetter(0), steps)
@@ -194,8 +193,9 @@ class Complex:
             shifted = map(lshift, self._tables[deg - 1], repeat(self.bits))
             typecode = self._table(deg).typecode
             self._tables[deg] = _or_lanes(_spread(typecode, shifted, children), lasts)
-            self._frontier = steps
             self._built_to = deg
+        if max(map(len, self._tables.values())) > _CHUNK:
+            self._step.cache_clear()
 
     def face_indices(self, deg: int) -> FaceTable:
         """For each degree-deg simplex, its face index per position (-1 if degenerate)."""

@@ -178,17 +178,78 @@ def test_face_and_front_back_tables_in_any_order():
             )
 
 
+def _walker_state(cx):
+    """The attributes of cx holding a Python sequence as long as table 1: state per parent."""
+    return [name for name, value in vars(cx).items()
+            if isinstance(value, (list, tuple)) and len(value) >= len(cx.index(1))]
+
+
 def test_tables_extend_in_place():
     cx = Complex(4, 2)
     cx.index(1)
     rows = cx.face_indices(1)
     cx.index(6)
-    # The next extension reads one walker step per parent, not one key per simplex.
-    assert len(cx._frontier) == len(cx.index(5))
+    # No frontier is kept: the next extension walks its keys from degree 0 again.
+    assert _walker_state(cx) == []
     straight = Complex(4, 2)
     straight.index(6)
     assert [list(cx.index(d)) for d in range(7)] == [list(straight.index(d)) for d in range(7)]
     assert cx.face_indices(1) is rows
+
+
+def test_a_small_complex_grown_a_degree_at_a_time_steps_each_key_once(monkeypatch):
+    """No (4, 2) table passes one chunk, so the step memo outlives every build."""
+    keys, step = [], complexes._Walker.step
+    monkeypatch.setattr(complexes._Walker, "step", lambda w, key: keys.append(key) or step(w, key))
+    Complex(4, 2).index(6)
+    straight = len(keys)
+    keys.clear()
+    cx = Complex(4, 2)
+    for d in range(1, 7):
+        cx.index(d)
+        assert cx._step.cache_info().currsize == len(keys)
+    assert max(map(len, map(cx.index, range(7)))) <= complexes._CHUNK
+    assert len(keys) == len(set(keys)) == straight == 576
+
+
+def test_a_complex_past_one_chunk_holds_no_walker_state():
+    """(4, 3) table 3 has 133200 simplices: after it, the memo is freed.
+
+    Extending to degree 4 then walks from degree 0 again, and every table
+    matches a straight build.
+    """
+    cx = Complex(4, 3)
+    assert len(cx.index(3)) == 133200
+    assert cx._step.cache_info().currsize == 0 and _walker_state(cx) == []
+    straight = Complex(4, 3)
+    for built in (cx, straight):
+        built.index(4)
+    assert cx._step.cache_info().currsize == 0 and _walker_state(cx) == []
+    for d in range(5):
+        assert cx.index(d).typecode == straight.index(d).typecode
+        assert cx.index(d) == straight.index(d)
+    for d in range(1, 5):
+        assert cx._lasts[d] == straight._lasts[d] and cx._children[d] == straight._children[d]
+        assert cx.face_indices(d).columns == straight.face_indices(d).columns
+    for p in range(5):
+        assert cx.front_back(p, 4 - p) == straight.front_back(p, 4 - p)
+
+
+def test_a_built_complex_past_one_chunk_holds_its_tables_only():
+    """A fresh (4, 3) through degree 4: 4.7 MB held, against 7.5 MB with a step per parent kept.
+
+    Its tables take about 4.5 MB; the memo and a frontier of 133200 steps took 2.8 MB more.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx = Complex(4, 3)
+        cx.index(4)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cx.index(4)) == 725136
+    assert held < 5_000_000, held
 
 
 def test_tables_are_flat_arrays():
