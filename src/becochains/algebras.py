@@ -2,11 +2,12 @@
 
 Both algebras are handled in their admissible bases over GF(2), built by one
 helper: Arnold monomials have strictly increasing second indices, Yang-Baxter
-words non-decreasing ones. Elements are support sets of basis words. The
-Arnold normalizer rewrites the leftmost tie of second indices and recurses; a
-Yang-Baxter product is built by right multiplication with one generator at a
-time, whose result on an admissible word is explicit. The twisting cochain tau
-is the identity on generators.
+words non-decreasing ones. The Arnold normalizer returns a product's support
+set of basis words; it rewrites the leftmost tie of second indices and
+recurses. A Yang-Baxter product is built by right multiplication with one
+generator at a time, explicit on an admissible word; its tables and the
+coproduct splits hold basis positions, viewed in words by coproduct_component.
+The twisting cochain tau is the identity on generators.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "arnold_basis",
     "yb_basis",
     "w_basis",
-    "coproduct",
     "coproduct_component",
     "d_w1",
     "HomWH",
@@ -154,15 +154,15 @@ def _yb_products(k: int, lu: int, lv: int) -> Tuple[Tuple[Tuple[int, ...], ...],
 
 
 @lru_cache(maxsize=None)
-def _split_table(k: int, lu: int, lv: int) -> Dict[Word, Tuple[Tuple[Word, Word], ...]]:
-    """For each admissible word, the (u, v) with given lengths whose product contains it."""
-    us, vs, ws = yb_basis(k, lu), yb_basis(k, lv), yb_basis(k, lu + lv)
-    table: Dict[Word, List[Tuple[Word, Word]]] = {w: [] for w in ws}
-    for u, products in zip(us, _yb_products(k, lu, lv)):
-        for v, positions in zip(vs, products):
+def _split_table(k: int, lu: int, lv: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """splits[c]: the positions (a, b) in yb_basis(k, lu) and yb_basis(k, lv) of
+    the (u, v) whose product holds word c of yb_basis(k, lu + lv)."""
+    splits: List[List[Tuple[int, int]]] = [[] for _ in yb_basis(k, lu + lv)]
+    for a, products in enumerate(_yb_products(k, lu, lv)):
+        for b, positions in enumerate(products):
             for c in positions:
-                table[ws[c]].append((u, v))
-    return {w: tuple(pairs) for w, pairs in table.items()}
+                splits[c].append((a, b))
+    return tuple(map(tuple, splits))
 
 
 def coproduct_component(k: int, w: Word, lu: int, lv: int) -> Tuple[Tuple[Word, Word], ...]:
@@ -170,19 +170,13 @@ def coproduct_component(k: int, w: Word, lu: int, lv: int) -> Tuple[Tuple[Word, 
 
     A word that is not an admissible Yang-Baxter word of arity k raises ValueError.
     """
-    if w not in _yb_index(k, len(w)):
+    c = _yb_index(k, len(w)).get(w)
+    if c is None:
         raise ValueError(f"not an admissible Yang-Baxter word of arity {k}: {w!r}")
     if lu + lv != len(w) or lu < 1 or lv < 1:
         return ()
-    return _split_table(k, lu, lv)[w]
-
-
-def coproduct(k: int, w: Word) -> FrozenSet[Tuple[Word, Word]]:
-    """Outer part of the dual of multiplication: one tensor leg has length 1."""
-    n = len(w)
-    if n < 2:
-        raise ValueError("coproduct needs a word of length at least 2")
-    return frozenset(coproduct_component(k, w, n - 1, 1) + coproduct_component(k, w, 1, n - 1))
+    us, vs = yb_basis(k, lu), yb_basis(k, lv)
+    return tuple((us[a], vs[b]) for a, b in _split_table(k, lu, lv)[c])
 
 
 def d_w1(w: Word) -> FrozenSet[Tuple[Pair, Pair]]:

@@ -17,11 +17,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import (
     HomWH,
-    Pair,
     Word,
     _product_table,
+    _split_table,
+    _yb_index,
     arnold_basis,
-    coproduct_component,
     hochschild_d,
     tau,
     w_basis,
@@ -116,45 +116,47 @@ def phi1(w: Word) -> F2Cochain:
     return pullback(cx, (i, l, m), ar()) + cup1(omega(4, i, m), omega(4, l, m))
 
 
-def _phi_d_all(level1: Sequence[F2Cochain]) -> Dict[Word, F2Cochain]:
-    """Error cocycles of all level-2 generators from phi1 on the level-1 basis.
+def _phi_d_all(level1: Sequence[F2Cochain]) -> Tuple[F2Cochain, ...]:
+    """Error cocycles of the level-2 generators in w_basis(4, 2) order, from phi1 on level 1.
 
     Each factor's front and back images are formed once; a cup is their AND.
     """
-    front, back = {}, {}
-    for u, c in [*zip(w_basis(4, 1), level1), *((g, phi0(g)) for g in w_basis(4, 0))]:
-        front[u], back[u] = _image(c, 1, 1, 0), _image(c, 1, 1, 1)
+    levels = ([phi0(g) for g in w_basis(4, 0)], level1)
+    front = [[_image(c, 1, 1, 0) for c in cs] for cs in levels]
+    back = [[_image(c, 1, 1, 1) for c in cs] for cs in levels]
     cx = get_complex(4, 2)
-    out = {}
-    for w in w_basis(4, 2):
+    out = []
+    for left, right in zip(_split_table(4, 2, 1), _split_table(4, 1, 2)):
         acc = 0
-        for u, v in coproduct_component(4, w, 2, 1) + coproduct_component(4, w, 1, 2):
-            acc ^= front[u] & back[v]
-        out[w] = F2Cochain(cx, 2, acc)
-    return out
+        for a, b in left:
+            acc ^= front[1][a] & back[0][b]
+        for a, b in right:
+            acc ^= front[0][a] & back[1][b]
+        out.append(F2Cochain(cx, 2, acc))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _phi_d_table() -> Dict[Word, F2Cochain]:
+def _phi_d_table() -> Tuple[F2Cochain, ...]:
     return _phi_d_all([phi1(u) for u in w_basis(4, 1)])
 
 
 def phi_d(w: Word) -> F2Cochain:
     """Error cocycle of a level-2 generator: cups of phi1 x phi0 over the coproduct."""
-    table = _phi_d_table()
-    if w not in table:
+    r = _yb_index(4, 3).get(w)
+    if r is None:
         raise ValueError(f"not a level-2 generator: {w}")
-    return table[w]
+    return _phi_d_table()[r]
 
 
 @lru_cache(maxsize=None)
 def alpha_hom() -> HomWH:
     """The classes of the 90 error cocycles as a Hom(W2, H2) element.
 
-    Each row is read off the cycle pairings of phi_d(w), which is a class
-    only when phi_d(w) is a cocycle: the phi-d-cocycles check of obstruct.
+    Row r is read off the cycle pairings of the error cocycle of w_basis(4, 2)[r],
+    which is a class only when that is a cocycle: the phi-d-cocycles check of obstruct.
     """
-    return HomWH(4, 2, 2, [_class_row(phi_d(w)) for w in w_basis(4, 2)])
+    return HomWH(4, 2, 2, [_class_row(c) for c in _phi_d_table()])
 
 
 def _packed(h: HomWH) -> int:
@@ -173,16 +175,15 @@ def hochschild_matrix() -> BitMatrix:
     """
     nh1, nh2 = len(arnold_basis(4, 1)), len(arnold_basis(4, 2))
     products = _product_table(4, 1, 1)
-    tau_col = {g: row.bit_length() - 1 for g, row in zip(w_basis(4, 0), tau(4).rows)}
-    first = {u: i * nh1 for i, u in enumerate(w_basis(4, 1))}
-    images = [0] * (len(first) * nh1)
-    for r, w in enumerate(w_basis(4, 2)):
-        for u, v in coproduct_component(4, w, 2, 1):
+    tau_col = [row.bit_length() - 1 for row in tau(4).rows]
+    images = [0] * (len(w_basis(4, 1)) * nh1)
+    for r, (left, right) in enumerate(zip(_split_table(4, 2, 1), _split_table(4, 1, 2))):
+        for a, b in left:
             for mi in range(nh1):
-                images[first[u] + mi] ^= products[mi][tau_col[v]] << r * nh2
-        for u, v in coproduct_component(4, w, 1, 2):
+                images[a * nh1 + mi] ^= products[mi][tau_col[b]] << r * nh2
+        for a, b in right:
             for mi in range(nh1):
-                images[first[v] + mi] ^= products[tau_col[u]][mi] << r * nh2
+                images[b * nh1 + mi] ^= products[tau_col[a]][mi] << r * nh2
     return BitMatrix(len(images), len(w_basis(4, 2)) * nh2, images)
 
 
@@ -209,9 +210,8 @@ def is_coboundary(a: HomWH) -> Optional[HomWH]:
 
 
 @lru_cache(maxsize=None)
-def _cap(a: Pair, m: int) -> int:
-    """Transpose of multiplication by a: bit i is set when x_i . a holds quadratic monomial m."""
-    j = arnold_basis(4, 1).index((a,))
+def _cap(j: int, m: int) -> int:
+    """Transpose of multiplication by x_j: bit i is set when x_i . x_j holds monomial m."""
     return sum(1 << i for i, row in enumerate(_product_table(4, 1, 1)) if row[j] >> m & 1)
 
 
@@ -225,21 +225,20 @@ def _check_dual(z: int):
 def dual_d(z: int) -> int:
     """Differential of the dual complex W (x) H-dual, from a level-2 row to a level-1 row.
 
-    Applies the twisting cochain on the length-1 leg of the coproduct and
-    caps it into the homology factor; the second coproduct piece contributes
-    with its tensor factors interchanged.
+    Applies the twisting cochain on the length-1 leg of the coproduct (leg b
+    goes to x_b) and caps it into the homology factor; the second coproduct
+    piece contributes with its tensor factors interchanged.
     """
     _check_dual(z)
     width2, width1 = len(arnold_basis(4, 2)), len(arnold_basis(4, 1))
-    first = {u: i * width1 for i, u in enumerate(w_basis(4, 1))}
-    gens = w_basis(4, 2)
+    left, right = _split_table(4, 2, 1), _split_table(4, 1, 2)
     acc = 0
     for bit in _bits(z):
         r, m = divmod(bit, width2)
-        for u, v in coproduct_component(4, gens[r], 2, 1):
-            acc ^= _cap(v[0], m) << first[u]
-        for u, v in coproduct_component(4, gens[r], 1, 2):
-            acc ^= _cap(u[0], m) << first[v]
+        for a, b in left[r]:
+            acc ^= _cap(b, m) << a * width1
+        for a, b in right[r]:
+            acc ^= _cap(a, m) << b * width1
     return acc
 
 
@@ -279,8 +278,7 @@ def gauge_shift(f: HomWH) -> HomWH:
     basis = arnold_basis(4, 1)
     level1 = [reduce(F2Cochain.__add__, (omega(4, *basis[i][0]) for i in _bits(row)), phi1(u))
               for u, row in zip(w_basis(4, 1), f.rows)]
-    cocycles = _phi_d_all(level1)
-    return HomWH(4, 2, 2, classes_of_cocycles([cocycles[w] for w in w_basis(4, 2)]))
+    return HomWH(4, 2, 2, classes_of_cocycles(_phi_d_all(level1)))
 
 
 def random_gauge(seed: int) -> HomWH:

@@ -163,6 +163,17 @@ def test_emit_to_missing_directory_exits_two(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_emit_to_empty_path_exits_two(capsys, tmp_path, monkeypatch):
+    # An empty path names no file: it is an unwritable --emit target, not a missing option.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "dims", "--k", "3", "--t", "2", "--emit", "")
+    assert code == 2
+    assert "verdict: PASS" in out
+    assert err.startswith("error: cannot write : ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unwritable_stdout_exits_two():
     # A pipe whose read end is closed before the command starts: every write fails.
     read, write = os.pipe()
@@ -271,10 +282,12 @@ def test_non_cocycle_error_cochain_is_inconclusive(capsys, monkeypatch):
     from becochains.algebras import w_basis
     from becochains.cochains import F2Cochain, coboundary
 
-    table = dict(obstruction._phi_d_table())
-    w = w_basis(4, 2)[-1]
-    table[w] = table[w] + F2Cochain(table[w].cx, 2, 1)
-    assert coboundary(table[w])
+    # The table holds the error cocycles in w_basis(4, 2) order; break the last one.
+    table = list(obstruction._phi_d_table())
+    assert len(table) == len(w_basis(4, 2))
+    table[-1] = table[-1] + F2Cochain(table[-1].cx, 2, 1)
+    assert coboundary(table[-1])
+    table = tuple(table)
     monkeypatch.setattr(obstruction, "_phi_d_table", lambda: table)
     # alpha is cached; read it again from the patched table, and from the real one afterwards.
     obstruction.alpha_hom.cache_clear()

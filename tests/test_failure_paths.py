@@ -10,7 +10,7 @@ import pytest
 from becochains.algebras import (
     HomWH,
     convolution,
-    coproduct,
+    coproduct_component,
     d_w1,
     parse_word,
     tau,
@@ -83,8 +83,8 @@ ROWS = [
     ("parse-wrong-degree", lambda: parse_cochain(cx3(), "123|312", 2), ValueError,
      "does not match the requested one"),
     # algebras
-    ("coproduct-one-letter", lambda: coproduct(4, ((1, 2),)), ValueError,
-     "length at least 2"),
+    ("coproduct_component-outside-basis", lambda: coproduct_component(4, ((2, 3), (1, 2)), 1, 1),
+     ValueError, "not an admissible Yang-Baxter word of arity 4"),
     ("d_w1-three-letters", lambda: d_w1(((1, 2), (1, 3), (2, 3))), ValueError,
      "expected a length-2 word"),
     ("d_w1-inadmissible", lambda: d_w1(((2, 3), (1, 2))), ValueError, "not admissible"),

@@ -29,7 +29,6 @@ PRIMITIVES = frozenset({
     "algebras._yb_times", "algebras._normpair",
     # the coproduct splits, the Arnold products and the twisting cochain
     "algebras._yb_index", "algebras._yb_products", "algebras._split_table",
-    "algebras.coproduct_component",
     "algebras._product_table", "algebras.tau",
     # the constructors, and the gf2 kernel
     "algebras.HomWH.__init__", "gf2.BitMatrix.__init__",
