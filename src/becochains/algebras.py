@@ -19,7 +19,6 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 from .gf2 import _bits
 
 __all__ = [
-    "Pair",
     "Word",
     "arnold_normalize",
     "arnold_basis",
@@ -35,11 +34,11 @@ __all__ = [
     "word_text",
 ]
 
-Pair = Tuple[int, int]
-Word = Tuple[Pair, ...]
+_Pair = Tuple[int, int]
+Word = Tuple[_Pair, ...]
 Element = FrozenSet[Word]
 
-def _normpair(a: int, b: int) -> Pair:
+def _normpair(a: int, b: int) -> _Pair:
     if a == b:
         raise ValueError("generator indices must be distinct")
     return (a, b) if a < b else (b, a)
@@ -70,7 +69,7 @@ def _arnold_rewrite(word: Word) -> Element:
     return _arnold_rewrite(rest + ((i1, i2), (i2, j))) ^ _arnold_rewrite(rest + ((i1, i2), (i1, j)))
 
 
-def _yb_times(x: Word, g: Pair) -> Set[Word]:
+def _yb_times(x: Word, g: _Pair) -> Set[Word]:
     """The admissible words of x . g, for an admissible word x and a generator g = (u, v).
 
     g moves left past the trailing letters of x with a second index above v;
@@ -179,7 +178,7 @@ def coproduct_component(k: int, w: Word, lu: int, lv: int) -> Tuple[Tuple[Word, 
     return tuple((us[a], vs[b]) for a, b in _split_table(k, lu, lv)[c])
 
 
-def d_w1(w: Word) -> FrozenSet[Tuple[Pair, Pair]]:
+def d_w1(w: Word) -> FrozenSet[Tuple[_Pair, _Pair]]:
     """Differential of a level-1 dual generator as quadratic level-0 words.
 
     Four cases by the shape of the admissible word ((i,j),(k,l)): a square,

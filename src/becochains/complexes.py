@@ -23,7 +23,6 @@ from .perms import Perm, all_perms, ordered_pairs, pair_flags, perm_from_text, p
 __all__ = [
     "Simplex",
     "is_nondegenerate",
-    "FaceTable",
     "Complex",
     "get_complex",
     "count_by_degree",
@@ -93,7 +92,7 @@ class _Walker:
         return nexts.tobytes(), keys
 
 
-class FaceTable:
+class _FaceTable:
     """Faces of one degree: columns[m][i] indexes face m of simplex i below, -1 if degenerate.
     Its len is the simplex count, read by bench/workloads.py: a bare tuple's would be deg + 1."""
 
@@ -125,7 +124,7 @@ class Complex:
         # has, and the last level of each simplex of table d.
         self._children: Dict[int, array] = {}
         self._lasts: Dict[int, array] = {}
-        self._face_tables: Dict[int, FaceTable] = {}
+        self._face_tables: Dict[int, _FaceTable] = {}
         # Many strings share a key; _build frees the memo once a table passes one chunk.
         self._step = lru_cache(maxsize=None)(self._walker.step)
 
@@ -197,14 +196,14 @@ class Complex:
         if max(map(len, self._tables.values())) > _CHUNK:
             self._step.cache_clear()
 
-    def face_indices(self, deg: int) -> FaceTable:
+    def face_indices(self, deg: int) -> _FaceTable:
         """For each degree-deg simplex, its face index per position (-1 if degenerate)."""
         if deg < 1:
             raise ValueError("faces need a degree of at least 1")
         if deg > self.top_degree:  # no simplices: one empty column, shared and not cached
-            return FaceTable((array(_typecode(-1, signed=True)),) * (deg + 1))
+            return _FaceTable((array(_typecode(-1, signed=True)),) * (deg + 1))
         if deg not in self._face_tables:
-            self._face_tables[deg] = FaceTable(self._face_columns(deg))
+            self._face_tables[deg] = _FaceTable(self._face_columns(deg))
         return self._face_tables[deg]
 
     def _face_columns(self, deg: int) -> Tuple[array, ...]:

@@ -20,12 +20,10 @@ from .perms import Perm, act, block_substitute
 
 __all__ = [
     "Chain",
-    "compose_simplices",
     "circ",
     "mult",
     "unit_chain",
     "gamma",
-    "act_chain",
     "t_cycle",
     "gamma_gamma",
     "h2_cycle_table",
@@ -38,7 +36,7 @@ __all__ = [
 Chain = FrozenSet[Simplex]
 
 
-def compose_simplices(s: Simplex, i: int, u: Simplex) -> Chain:
+def _compose_simplices(s: Simplex, i: int, u: Simplex) -> Chain:
     """Substitute u into slot i of s, one summand per monotone level shuffle.
 
     A shuffle of the level strings is a lattice path: each step advances the
@@ -66,7 +64,7 @@ def circ(x: Chain, i: int, y: Chain) -> Chain:
     acc: set = set()
     for s in x:
         for u in y:
-            acc ^= compose_simplices(s, i, u)
+            acc ^= _compose_simplices(s, i, u)
     return frozenset(acc)
 
 
@@ -85,18 +83,16 @@ def gamma() -> Chain:
     return frozenset({((1, 2), (2, 1)), ((2, 1), (1, 2))})
 
 
-def act_chain(g: Perm, ch: Chain) -> Chain:
+def _act_chain(g: Perm, ch: Chain) -> Chain:
     """Relabel every level of every simplex by g."""
     return frozenset(tuple(act(g, level) for level in s) for s in ch)
 
 
-@lru_cache(maxsize=None)
 def t_cycle() -> Chain:
     """Satellite cycle: gamma composed into itself, then one label appended."""
     return mult(circ(gamma(), 2, gamma()), unit_chain())
 
 
-@lru_cache(maxsize=None)
 def gamma_gamma() -> Chain:
     """Two-block cycle: the product of gamma with itself."""
     return mult(gamma(), gamma())
@@ -119,7 +115,6 @@ _RELABELLINGS: Tuple[Tuple[Word, Perm, str], ...] = (
 )
 
 
-@lru_cache(maxsize=None)
 def h2_cycle_table() -> Tuple[Tuple[Word, Chain], ...]:
     """The 11 cycle representatives, ordered like the quadratic Arnold basis.
 
@@ -129,7 +124,7 @@ def h2_cycle_table() -> Tuple[Tuple[Word, Chain], ...]:
     base = {"t": t_cycle(), "gg": gamma_gamma()}
     table = []
     for word, g, kind in _RELABELLINGS:
-        table.append((word, act_chain(g, base[kind])))
+        table.append((word, _act_chain(g, base[kind])))
     if [w for w, _ in table] != list(arnold_basis(4, 2)):
         raise RuntimeError("cycle table is not in quadratic basis order")
     return tuple(table)
@@ -152,7 +147,6 @@ def omega_product(monomial: Word) -> F2Cochain:
     return out
 
 
-@lru_cache(maxsize=None)
 def pairing_matrix() -> BitMatrix:
     """Pairings of the quadratic cocycle products against the 11 cycles.
 

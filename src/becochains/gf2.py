@@ -77,17 +77,19 @@ def rank(m: BitMatrix) -> int:
     return m.cols - _pivot_basis(m.data, m.cols).count(0)
 
 
-def _tagged_basis(m: BitMatrix) -> List[int]:
-    """Pivot basis of the rows of m, row i moved above m.rows tag bits and carrying tag bit i.
+def solve(m: BitMatrix, b: int) -> Optional[int]:
+    """Some x with x.m = b, or None when no sum of rows of m is b.
 
-    A kept row records which input rows it sums; solve reduces b against it.
+    x has one bit per row of m and b one bit per column: b is the XOR of the
+    rows that x picks. Each call eliminates the rows of m once, in the order
+    given, so the result is deterministic.
     """
+    if b < 0 or b >> m.cols:
+        raise ValueError("right-hand side has bits beyond the column count")
+    # Row i moves above m.rows tag bits and carries tag bit i, so a kept row
+    # records which input rows it sums.
     n = m.rows
-    return _pivot_basis((r << n | 1 << i for i, r in enumerate(m.data)), m.cols + n)
-
-
-def _combination(basis: List[int], n: int, b: int) -> Optional[int]:
-    """solve's x from the tagged basis of an n-row matrix; b is not checked."""
+    basis = _pivot_basis((r << n | 1 << i for i, r in enumerate(m.data)), m.cols + n)
     v = b << n
     while v >> n:
         row = basis[v.bit_length() - 1]
@@ -95,18 +97,6 @@ def _combination(basis: List[int], n: int, b: int) -> Optional[int]:
             return None
         v ^= row
     return v
-
-
-def solve(m: BitMatrix, b: int) -> Optional[int]:
-    """Some x with x.m = b, or None when no sum of rows of m is b.
-
-    x has one bit per row of m and b one bit per column: b is the XOR of the
-    rows that x picks. The rows are reduced in the order given, so the
-    result is deterministic.
-    """
-    if b < 0 or b >> m.cols:
-        raise ValueError("right-hand side has bits beyond the column count")
-    return _combination(_tagged_basis(m), m.rows, b)
 
 
 def rowspace_basis(m: BitMatrix) -> List[int]:

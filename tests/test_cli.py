@@ -266,6 +266,36 @@ def test_obstruct_checks_its_cocycles_without_degree_two_coface_masks():
     assert 2 not in seen["degrees"]
 
 
+# Both commands in one fresh interpreter, then the hits of every module-level
+# lru_cache of the library, keyed by module and function name.
+CACHE_AUDIT_CHILD = """
+import contextlib, importlib, io, json
+from becochains.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify-basics"]), main(["obstruct", "--gauge-seed", "42"])]
+hits = {}
+for mod in ("gf2", "perms", "complexes", "cochains", "algebras", "cycles", "obstruction"):
+    module = importlib.import_module("becochains." + mod)
+    for name, obj in vars(module).items():
+        if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+            hits[f"{mod}.{name}"] = obj.cache_info().hits
+print(json.dumps({"codes": codes, "hits": hits}))
+"""
+
+
+def test_every_library_cache_is_read_again_by_the_certificate():
+    """A memo that the certificate never reads twice only costs memory: each one must hit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", CACHE_AUDIT_CHILD], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0, 0]
+    # The audit sees the caches: the split tables and the solve matrix are among them.
+    assert {"algebras._split_table", "obstruction.hochschild_matrix"} <= set(seen["hits"])
+    assert {name for name, hits in seen["hits"].items() if hits < 1} == set()
+
+
 def test_obstruct_gauge_seed_deterministic(capsys):
     _, out1, _ = run(capsys, "obstruct", "--gauge-seed", "9", "--format", "json")
     _, out2, _ = run(capsys, "obstruct", "--gauge-seed", "9", "--format", "json")
@@ -289,12 +319,7 @@ def test_non_cocycle_error_cochain_is_inconclusive(capsys, monkeypatch):
     assert coboundary(table[-1])
     table = tuple(table)
     monkeypatch.setattr(obstruction, "_phi_d_table", lambda: table)
-    # alpha is cached; read it again from the patched table, and from the real one afterwards.
-    obstruction.alpha_hom.cache_clear()
-    try:
-        code, out, err = run(capsys, "obstruct")
-    finally:
-        obstruction.alpha_hom.cache_clear()
+    code, out, err = run(capsys, "obstruct")
     assert code == 1
     assert "FAIL phi-d-cocycles: expected=90/90 computed=89/90 [derived]" in out.splitlines()
     assert out.splitlines()[-1] == "verdict: INCONCLUSIVE"
@@ -318,12 +343,10 @@ def test_non_cocycle_error_cochain_under_a_gauge_is_inconclusive(capsys, monkeyp
     # Both the plain and the gauge-shifted error cochains read the broken phi1.
     monkeypatch.setattr(obstruction, "phi1", broken_phi1)
     obstruction._phi_d_table.cache_clear()
-    obstruction.alpha_hom.cache_clear()
     try:
         code, out, err = run(capsys, "obstruct", "--gauge-seed", "42")
     finally:
         obstruction._phi_d_table.cache_clear()
-        obstruction.alpha_hom.cache_clear()
     assert code == 1
     lines = out.splitlines()
     assert any(line.startswith("FAIL phi-d-cocycles: ") for line in lines)

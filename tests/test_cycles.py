@@ -92,13 +92,9 @@ def test_cycle_shapes():
 
 
 def test_cycle_table_order_is_checked(monkeypatch):
-    h2_cycle_table.cache_clear()
     monkeypatch.setattr(cycles, "_RELABELLINGS", cycles._RELABELLINGS[::-1])
-    try:
-        with pytest.raises(RuntimeError, match="basis order"):
-            h2_cycle_table()
-    finally:
-        h2_cycle_table.cache_clear()
+    with pytest.raises(RuntimeError, match="basis order"):
+        h2_cycle_table()
 
 
 def test_pairing_matrix_is_identity():
@@ -111,16 +107,13 @@ def test_pairing_matrix_is_identity():
 def test_swapped_cycle_order_is_caught(monkeypatch):
     chains = cycles._cycle_chains()
     swapped = (chains[1], chains[0]) + chains[2:]
-    caches = (pairing_matrix, cycles._dual_cycle_chains)
-    for cache in caches:
-        cache.cache_clear()
+    cycles._dual_cycle_chains.cache_clear()
     monkeypatch.setattr(cycles, "_cycle_chains", lambda: swapped)
     try:
         with pytest.raises(RuntimeError, match="not the identity"):
             class_of_cocycle(omega_product(arnold_basis(4, 2)[0]))
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        cycles._dual_cycle_chains.cache_clear()
 
 
 def test_pairing_entries_pointwise():

@@ -99,6 +99,7 @@ def calls():
 
 def test_each_leg_reaches_its_own_derived_object(calls):
     assert "obstruction.hochschild_matrix" in calls["solve"]
+    assert "gf2.solve" in calls["solve"]
     assert "obstruction.dual_d" in calls["pairing"]
     assert "obstruction._im_d1_basis" in calls["classes"]
     assert "algebras.convolution" in calls["closed"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from becochains import gf2, obstruction
+from becochains import gf2
 from becochains.algebras import (
     HomWH,
     arnold_basis,
@@ -408,21 +408,10 @@ def test_is_coboundary_roundtrip():
 
 
 def test_is_coboundary_gives_the_witness_of_solve():
-    """The cached basis gives the x of gf2.solve on the same matrix."""
+    """The witness is the x of gf2.solve on the same matrix, unpacked."""
     df = hochschild_d(random_gauge(321))
     x = gf2.solve(hochschild_matrix(), _packed(df))
     assert x is not None and _packed(is_coboundary(df)) == x
-
-
-def test_two_solves_make_one_elimination(monkeypatch):
-    """hochschild_matrix() is eliminated once; each later solve only reduces its right side."""
-    a = alpha_hom()
-    passes = []
-    real = gf2._pivot_basis
-    monkeypatch.setattr(gf2, "_pivot_basis", lambda rows, width: passes.append(width) or real(rows, width))
-    obstruction._solve_basis.cache_clear()
-    assert is_coboundary(a) is None and is_coboundary(a) is None
-    assert len(passes) == 1
 
 
 def test_is_coboundary_of_a_non_cocycle_is_none():
