@@ -36,11 +36,11 @@ __all__ = [
 class F2Cochain:
     """Degree-homogeneous GF(2) cochain of one ambient complex; bit i = simplex i.
 
-    A cochain is never mutated after construction: its cup images are memoized
-    on it, keyed by both factors' degrees and the side, and die with it.
+    A cochain is never mutated after construction: it hashes by its complex,
+    degree and support, so it can key cached tables such as its cup images.
     """
 
-    __slots__ = ("cx", "degree", "support", "_images")
+    __slots__ = ("cx", "degree", "support")
 
     def __init__(self, cx: Complex, degree: int, support: int = 0):
         if not isinstance(support, int):
@@ -55,7 +55,6 @@ class F2Cochain:
         self.cx = cx
         self.degree = degree
         self.support = support
-        self._images = {}
 
     def __add__(self, other: "F2Cochain") -> "F2Cochain":
         _check_same(self, other)
@@ -167,12 +166,10 @@ def _cup_masks(cx: Complex, p: int, q: int) -> Tuple[List[int], List[int]]:
     return _masks([fronts], len(cx.index(p))), _masks([backs], len(cx.index(q)))
 
 
+@lru_cache(maxsize=None)
 def _image(c: F2Cochain, p: int, q: int, side: int) -> int:
     """Degree p+q simplices whose front p-face (side 0) or back q-face (side 1) lies in c."""
-    key = (p, q, side)
-    if key not in c._images:
-        c._images[key] = reduce(or_, compress(_cup_masks(c.cx, p, q)[side], _flags(c.support)), 0)
-    return c._images[key]
+    return reduce(or_, compress(_cup_masks(c.cx, p, q)[side], _flags(c.support)), 0)
 
 
 def cup(a: F2Cochain, b: F2Cochain) -> F2Cochain:

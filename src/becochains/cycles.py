@@ -184,7 +184,7 @@ def _class_row(c: F2Cochain) -> int:
 def classes_of_cocycles(cs: Sequence[F2Cochain]) -> List[int]:
     """Classes of degree-2 cocycles as bit rows, all checked closed in one bitsliced pass."""
     for c in cs:
-        if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
+        if c.degree != 2 or c.cx is not get_complex(4, 2):
             raise ValueError("expected a degree-2 cochain of the arity-4 complex")
     if not all(are_cocycles(cs)):
         raise ValueError("not a cocycle")

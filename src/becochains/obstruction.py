@@ -294,7 +294,7 @@ def validates_class(c: F2Cochain, row: int) -> bool:
     Forms c + the product cocycles of the row's monomials and tests membership
     in the coboundary space in one pass over its basis, by each row's highest bit.
     """
-    if c.degree != 2 or c.cx.k != 4 or c.cx.t != 2:
+    if c.degree != 2 or c.cx is not get_complex(4, 2):
         raise ValueError("expected a degree-2 cochain of the arity-4 complex")
     basis = arnold_basis(4, 2)
     if row < 0 or row >> len(basis):

@@ -280,7 +280,9 @@ for mod in ("gf2", "perms", "complexes", "cochains", "algebras", "cycles", "obst
     for name, obj in vars(module).items():
         if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
             hits[f"{mod}.{name}"] = obj.cache_info().hits
-print(json.dumps({"codes": codes, "hits": hits}))
+image = importlib.import_module("becochains.cochains")._image.cache_info()
+lookups = [image.hits + image.misses, image.misses]
+print(json.dumps({"codes": codes, "hits": hits, "image": lookups}))
 """
 
 
@@ -291,9 +293,12 @@ def test_every_library_cache_is_read_again_by_the_certificate():
                           text=True, timeout=120, check=True)
     seen = json.loads(proc.stdout)
     assert seen["codes"] == [0, 0]
-    # The audit sees the caches: the split tables and the solve matrix are among them.
-    assert {"algebras._split_table", "obstruction.hochschild_matrix"} <= set(seen["hits"])
+    # The audit sees the caches: the split tables, the solve matrix and the cup images.
+    assert {"algebras._split_table", "obstruction.hochschild_matrix",
+            "cochains._image"} <= set(seen["hits"])
     assert {name for name, hits in seen["hits"].items() if hits < 1} == set()
+    # 308 cup-image lookups form 104 images: one per distinct cochain, degree pair and side.
+    assert seen["image"] == [308, 104]
 
 
 def test_obstruct_gauge_seed_deterministic(capsys):

@@ -342,10 +342,21 @@ def test_cup_images_are_memoized_per_side_and_partner_degree_seeded():
     cx = get_complex(4, 2)
     a = random_cochain(rng, cx, 1, 0.3)
     partners = [random_cochain(rng, cx, d, 0.3) for d in (1, 2, 0, 1, 2)]
-    for b in partners * 2:
+    before = _image.cache_info()
+    for b in partners:
         assert cup(a, b).support == reference_cup(a, b), b.degree
         assert cup(b, a).support == reference_cup(b, a), b.degree
-    assert sorted(a._images) == sorted([(1, d, 0) for d in (0, 1, 2)] + [(d, 1, 1) for d in (0, 1, 2)])
+    first = _image.cache_info()
+    # The six (partner degree, side) images of a, each formed once, and two of each partner.
+    assert first.misses - before.misses == 6 + 2 * len(partners)
+    for b in partners:
+        assert cup(a, b).support == reference_cup(a, b), b.degree
+        assert cup(b, a).support == reference_cup(b, a), b.degree
+    again = _image.cache_info()
+    assert again.misses == first.misses and again.hits - first.hits == 4 * len(partners)
+    for key in [(1, d, 0) for d in (0, 1, 2)] + [(d, 1, 1) for d in (0, 1, 2)]:
+        _image(a, *key)
+    assert _image.cache_info().misses == again.misses
 
 
 def test_a_repeated_cup_asks_no_mask_table():
@@ -361,11 +372,19 @@ def test_a_repeated_cup_asks_no_mask_table():
 
 
 def test_memoized_images_leave_equality_and_hash_alone():
+    """Equal cochains in distinct objects share one cached image; a second complex gets its own."""
     a, b = omega(4, 1, 2), omega(4, 2, 3)
     cup(a, b), cup(b, a)
-    fresh = F2Cochain(a.cx, a.degree, a.support)
-    assert a._images and not fresh._images
-    assert a == fresh and hash(a) == hash(fresh) and {fresh: 1}[a] == 1
+    same = F2Cochain(a.cx, a.degree, a.support)
+    other = F2Cochain(Complex(4, 2), a.degree, a.support)
+    before = _image.cache_info()
+    assert _image(same, 1, 1, 0) == _image(a, 1, 1, 0)
+    shared = _image.cache_info()
+    assert shared.misses == before.misses and shared.hits == before.hits + 2
+    assert _image(other, 1, 1, 0) == _image(a, 1, 1, 0)
+    assert _image.cache_info().misses == shared.misses + 1
+    assert a == same and hash(a) == hash(same) and {same: 1}[a] == 1
+    assert a != other and other != same
 
 
 def reference_pullback(target, tag, c):

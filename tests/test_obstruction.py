@@ -22,8 +22,8 @@ from becochains.cochains import (
     omega,
     pullback,
 )
-from becochains.complexes import get_complex, simplex_from_text
-from becochains.cycles import class_of_cocycle, h2_cycle_table
+from becochains.complexes import Complex, get_complex, simplex_from_text
+from becochains.cycles import class_of_cocycle, classes_of_cocycles, h2_cycle_table, omega_product
 from becochains.obstruction import (
     ANCHOR_VALUES,
     ANCHOR_WORDS,
@@ -438,6 +438,26 @@ def test_gauge_shift_identity_many_seeds():
         assert is_coboundary(shifted) is None, seed
 
 
+def test_gauge_shift_identity_for_every_elementary_gauge():
+    """gauge_shift is affine in f, so f = 0 and the 150 elementary maps cover every gauge."""
+    a, b = alpha_hom(), beta()
+    n, width = len(w_basis(4, 1)), len(arnold_basis(4, 1))
+    assert n * width == 150
+    for i in range(n):
+        for j in range(width):
+            e = HomWH(4, 1, 1, [1 << j if r == i else 0 for r in range(n)])
+            de = hochschild_d(e)
+            assert gauge_shift(e) == a + de, (i, j)
+            assert pair_alpha_beta(de, b) == 0, (i, j)
+
+
+def test_gauge_shift_is_additive_up_to_alpha_seeded():
+    a = alpha_hom()
+    for seed in range(6):
+        f, g = random_gauge(4001 + 2 * seed), random_gauge(4002 + 2 * seed)
+        assert gauge_shift(f + g) == gauge_shift(f) + gauge_shift(g) + a, seed
+
+
 def test_validates_class_on_anchors():
     rows = dict(zip(w_basis(4, 2), alpha_hom().rows))
     for w in ANCHOR_WORDS:
@@ -489,3 +509,14 @@ def test_maps_and_cochains_of_another_arity_are_rejected():
         is_coboundary(HomWH(4, 1, 1, [0] * len(w_basis(4, 1))))
     with pytest.raises(ValueError):
         validates_class(F2Cochain(get_complex(3, 2), 2), 0)
+
+
+def test_class_guards_reject_a_cochain_of_a_second_arity_four_complex():
+    """Only cochains of get_complex(4, 2) have classes here, and the guard runs before any face pass."""
+    fresh = Complex(4, 2)
+    c = F2Cochain(fresh, 2, omega_product(arnold_basis(4, 2)[0]).support)
+    for call in (lambda: validates_class(c, 0), lambda: validates_class(c, 0b101),
+                 lambda: classes_of_cocycles([c])):
+        with pytest.raises(ValueError, match="expected a degree-2 cochain of the arity-4 complex"):
+            call()
+    assert fresh._face_tables == {}
