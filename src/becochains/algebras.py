@@ -7,7 +7,9 @@ set of basis words; it rewrites the leftmost tie of second indices and
 recurses. A Yang-Baxter product is built by right multiplication with one
 generator at a time, explicit on an admissible word; its tables and the
 coproduct splits hold basis positions, viewed in words by coproduct_component.
-The twisting cochain tau is the identity on generators.
+The twisting cochain tau is the identity on generators, and the convolution
+differential hochschild_d is the convolution with tau, f * tau + tau * f, in
+one pass over one Arnold product table.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "d_w1",
     "HomWH",
     "tau",
-    "convolution",
     "hochschild_d",
     "parse_word",
     "word_text",
@@ -263,34 +264,27 @@ def _product_table(k: int, p: int, q: int) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def convolution(f: HomWH, g: HomWH) -> HomWH:
-    """Convolution product through the coproduct of W and the Arnold multiplication.
-
-    Each f(u) . g(v) is formed once and added to the row of every word of u . v.
-    """
-    if f.k != g.k:
-        raise ValueError("arity mismatch")
-    k = f.k
-    level = f.level + g.level + 1
-    table = _product_table(k, f.qdeg, g.qdeg)
-    g_bits = [_bits(row) for row in g.rows]
-    rows = [0] * len(w_basis(k, level))
-    for f_row, products in zip(f.rows, _yb_products(k, f.level + 1, g.level + 1)):
-        left = [table[i] for i in _bits(f_row)]
-        for js, positions in zip(g_bits, products):
-            p = 0
-            for j in js:
-                for t in left:
-                    p ^= t[j]
-            for c in positions:
-                rows[c] ^= p
-    return HomWH(k, level, f.qdeg + g.qdeg, rows)
-
-
 def hochschild_d(f: HomWH) -> HomWH:
-    """Differential of the convolution complex: f * tau + tau * f."""
-    t = tau(f.k)
-    return convolution(f, t) + convolution(t, f)
+    """Differential of the convolution complex, d(f) = f * tau + tau * f, in one pass.
+
+    tau sends generator g to x_g, and the Arnold product commutes, so both halves
+    read one product table: each f(u) . x_g is formed once and added to the row
+    of every word of u . g and of g . u.
+    """
+    k, level = f.k, f.level + 1
+    table = _product_table(k, f.qdeg, 1)
+    tau_col = [row.bit_length() - 1 for row in tau(k).rows]
+    rows = [0] * len(w_basis(k, level))
+    for f_row, u_times, times_u in zip(f.rows, _yb_products(k, level, 1),
+                                       zip(*_yb_products(k, 1, level))):
+        f_u = [table[i] for i in _bits(f_row)]
+        for j, ug, gu in zip(tau_col, u_times, times_u):
+            p = 0
+            for t in f_u:
+                p ^= t[j]
+            for c in ug + gu:
+                rows[c] ^= p
+    return HomWH(k, level, f.qdeg + 1, rows)
 
 
 def parse_word(text: str) -> Tuple[str, Word]:

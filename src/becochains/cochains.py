@@ -166,7 +166,9 @@ def _cup_masks(cx: Complex, p: int, q: int) -> Tuple[List[int], List[int]]:
     return _masks([fronts], len(cx.index(p))), _masks([backs], len(cx.index(q)))
 
 
-@lru_cache(maxsize=None)
+# One certificate forms 104 images in 308 lookups, so the default 128 entries never
+# evict there, while a caller looping over gauges holds no more than that.
+@lru_cache
 def _image(c: F2Cochain, p: int, q: int, side: int) -> int:
     """Degree p+q simplices whose front p-face (side 0) or back q-face (side 1) lies in c."""
     return reduce(or_, compress(_cup_masks(c.cx, p, q)[side], _flags(c.support)), 0)

@@ -17,13 +17,13 @@ __all__ = ["BitMatrix", "rank", "solve", "rowspace_basis"]
 class BitMatrix:
     """Matrix over GF(2) with rows packed into Python ints (bit j = column j)."""
 
-    def __init__(self, rows: int, cols: int, data: Optional[Iterable[int]] = None):
+    def __init__(self, rows: int, cols: int, data: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.rows = rows
         self.cols = cols
         # The rows are kept, not copied; min and max check every row in one C-level pass each.
-        self.data = [0] * rows if data is None else list(data)
+        self.data = list(data)
         if len(self.data) != rows:
             raise ValueError("row count mismatch")
         if self.data and (min(self.data) < 0 or max(self.data) >> cols):

@@ -271,6 +271,7 @@ def test_obstruct_checks_its_cocycles_without_degree_two_coface_masks():
 CACHE_AUDIT_CHILD = """
 import contextlib, importlib, io, json
 from becochains.cli import main
+from becochains.obstruction import gauge_shift, random_gauge
 
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["verify-basics"]), main(["obstruct", "--gauge-seed", "42"])]
@@ -280,9 +281,14 @@ for mod in ("gf2", "perms", "complexes", "cochains", "algebras", "cycles", "obst
     for name, obj in vars(module).items():
         if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
             hits[f"{mod}.{name}"] = obj.cache_info().hits
-image = importlib.import_module("becochains.cochains")._image.cache_info()
+image_cache = importlib.import_module("becochains.cochains")._image
+image = image_cache.cache_info()
 lookups = [image.hits + image.misses, image.misses]
-print(json.dumps({"codes": codes, "hits": hits, "image": lookups}))
+# A library caller looping over gauges keeps a bounded number of images.
+for seed in range(150):
+    gauge_shift(random_gauge(seed))
+held = image_cache.cache_info().currsize
+print(json.dumps({"codes": codes, "hits": hits, "image": lookups, "held": held}))
 """
 
 
@@ -299,6 +305,7 @@ def test_every_library_cache_is_read_again_by_the_certificate():
     assert {name for name, hits in seen["hits"].items() if hits < 1} == set()
     # 308 cup-image lookups form 104 images: one per distinct cochain, degree pair and side.
     assert seen["image"] == [308, 104]
+    assert seen["held"] <= 128
 
 
 def test_obstruct_gauge_seed_deterministic(capsys):

@@ -9,7 +9,6 @@ import pytest
 
 from becochains.algebras import (
     HomWH,
-    convolution,
     coproduct_component,
     d_w1,
     parse_word,
@@ -59,7 +58,7 @@ ROWS = [
     ("simplex-empty-level", lambda: simplex_from_text("12|"), ValueError,
      "not a permutation text: ''"),
     # gf2
-    ("bitmatrix-negative", lambda: BitMatrix(-1, 2), ValueError, "negative dimensions"),
+    ("bitmatrix-negative", lambda: BitMatrix(-1, 2, []), ValueError, "negative dimensions"),
     ("bitmatrix-rows", lambda: BitMatrix(2, 2, [1]), ValueError, "row count mismatch"),
     # cochains
     ("cochain-float-degree", lambda: F2Cochain(cx3(), 1.0, 0), TypeError, "degree must be an int"),
@@ -91,7 +90,6 @@ ROWS = [
     ("homwh-row-count", lambda: HomWH(4, 0, 1, [1]), ValueError, "expected 6 rows, got 1"),
     ("homwh-sum-bidegrees", lambda: HomWH(4, 0, 0, [0] * 6) + tau(4), ValueError,
      "bidegree mismatch"),
-    ("convolution-arities", lambda: convolution(tau(3), tau(4)), ValueError, "arity mismatch"),
     ("parse_word-bad-factor", lambda: parse_word("B12.B1x"), ValueError,
      "bad factor 'B1x' in 'B12.B1x'"),
     ("word_text-kind", lambda: word_text("C", ((1, 2),)), ValueError,

@@ -102,7 +102,7 @@ def test_each_leg_reaches_its_own_derived_object(calls):
     assert "gf2.solve" in calls["solve"]
     assert "obstruction.dual_d" in calls["pairing"]
     assert "obstruction._im_d1_basis" in calls["classes"]
-    assert "algebras.convolution" in calls["closed"]
+    assert "algebras.hochschild_d" in calls["closed"]
 
 
 @pytest.mark.parametrize("left,right", list(combinations(LEGS, 2)))
